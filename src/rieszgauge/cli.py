@@ -181,6 +181,8 @@ def _run(args) -> int:
         return 0 if all(r.passed for r in results) else 2
 
     if args.command == "counterexample":
+        if args.n_max < 2:
+            raise SpecError("--n-max must be at least 2")
         rep = counterexample_unboundedness(args.n_max,
                                            max_depth=config.max_depth)
         _emit(report.counterexample_to_json(rep), args)

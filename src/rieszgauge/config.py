@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .domain import BorelSet, MeasureSpec
@@ -71,11 +72,12 @@ def _vector_dim(space: str) -> int:
 
 def parse_value(text: str, space: str) -> RieszValue:
     """A lattice value in the configured space: a number for scalars, a JSON
-    list for vectors, a JSON object of index->value for c00."""
+    list for vectors, a JSON object of index->value for c00; every coordinate
+    must be finite."""
     text = text.strip()
     try:
         if space == "scalar":
-            return Scalar(float(text))
+            return _finite(Scalar(float(text)), text)
         if space.startswith("vector"):
             values = json.loads(text)
             if not isinstance(values, list):
@@ -85,15 +87,22 @@ def parse_value(text: str, space: str) -> RieszValue:
                 raise SpecError(
                     f"value {text!r} has dimension {v.dim}, expected "
                     f"{_vector_dim(space)}")
-            return v
+            return _finite(v, text)
         if space == "c00":
             entries = json.loads(text)
-            return SparseSeq({int(k): float(x) for k, x in entries.items()})
+            return _finite(
+                SparseSeq({int(k): float(x) for k, x in entries.items()}), text)
     except SpecError:
         raise
     except (ValueError, AttributeError, TypeError):
         pass
     raise SpecError(f"cannot parse value {text!r} for space {space!r}")
+
+
+def _finite(v: RieszValue, text: str) -> RieszValue:
+    if not all(math.isfinite(x) for _, x in v.nonzero_coords()):
+        raise SpecError(f"value {text!r} is not finite")
+    return v
 
 
 def parse_regulator(text: str, unit: RieszValue) -> Regulator:
@@ -172,11 +181,12 @@ def parse_integrand(text: str, config: RunConfig) -> Integrand:
                 raise SpecError(
                     f"simple piece {chunk!r} needs lo,hi,value")
             try:
-                lo, hi = float(fields[0]), float(fields[1])
-            except ValueError:
-                raise SpecError(f"bad bounds in simple piece {chunk!r}")
+                part = BorelSet.from_pairs([[float(fields[0]),
+                                             float(fields[1])]])
+            except ValueError as exc:
+                raise SpecError(f"bad bounds in simple piece {chunk!r}: {exc}")
             value = parse_value(fields[2], config.value_space)
-            pieces.append((BorelSet.from_pairs([[lo, hi]]), value))
+            pieces.append((part, value))
         return SimpleIntegrand(tuple(pieces))
     try:
         return named_integrand(text, config.unit())

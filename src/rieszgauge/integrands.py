@@ -15,7 +15,11 @@ from typing import Callable
 
 from .domain import BorelSet
 from .errors import NotDisjoint, UnboundedMultifunction
-from .values import RieszValue, SparseSeq, leq, zero_like
+from .values import RieszValue, SparseSeq, coordinates, leq, zero_like
+
+#: A tag mapped to float coordinates over a fixed key tuple (see
+#: :func:`rieszgauge.values.coordinates`).
+CoordinateMap = Callable[[float], tuple[float, ...]]
 
 _GRID = tuple(i / 64.0 for i in range(65))
 
@@ -45,38 +49,62 @@ SCALAR_FORMS: dict[str, ScalarForm] = {
 
 
 class PieceLookup:
-    """Bisect-backed point lookup over disjoint pieces of the unit interval.
+    """Point lookup over disjoint pieces of the unit interval.
 
     Non-degenerate components cannot nest, so at most the two latest-starting
     rows can contain a point; single-point components may sit inside other
-    pieces and are kept in their own map.  Ties at shared endpoints go to the
-    earliest declared piece.
+    pieces.  Ties at shared endpoints go to the earliest declared piece.
+    Between two consecutive component endpoints the answer cannot change, so
+    it is found once per endpoint and once per gap when the lookup is built;
+    a point then costs one dict probe and one bisection.
     """
 
-    __slots__ = ("_rows", "_lows", "_points")
+    __slots__ = ("get", "_payloads", "_ends", "_at_end", "_in_gap")
 
     def __init__(self, pieces):
         rows = []
-        points: dict[float, tuple[int, object]] = {}
+        points: dict[float, int] = {}
+        self._payloads = []
         for idx, (part, payload) in enumerate(pieces):
+            self._payloads.append(payload)
             for comp in part.components:
                 if comp.lo == comp.hi:
-                    if comp.lo not in points or idx < points[comp.lo][0]:
-                        points[comp.lo] = (idx, payload)
+                    points.setdefault(comp.lo, idx)
                 else:
-                    rows.append((comp.lo, comp.hi, idx, payload))
-        rows.sort(key=lambda row: (row[0], row[1], row[2]))
-        self._rows = rows
-        self._lows = [row[0] for row in rows]
-        self._points = points
+                    rows.append((comp.lo, comp.hi, idx))
+        rows.sort()
+        lows = [row[0] for row in rows]
+        off = len(self._payloads)
 
-    def get(self, t: float):
-        i = _bisect.bisect_right(self._lows, t)
-        best = self._points.get(t)
-        for lo, hi, idx, payload in self._rows[max(0, i - 2):i]:
-            if lo <= t <= hi and (best is None or idx < best[0]):
-                best = (idx, payload)
-        return best[1] if best is not None else None
+        def scan(t):
+            i = _bisect.bisect_right(lows, t)
+            best = points.get(t, off)
+            for lo, hi, idx in rows[max(0, i - 2):i]:
+                if lo <= t <= hi and idx < best:
+                    best = idx
+            return best
+        ends = sorted({x for row in rows for x in row[:2]} | set(points))
+        self._ends = ends
+        self._at_end = {t: scan(t) for t in ends}
+        self._in_gap = ([off] + [scan(0.5 * (a + b))
+                                 for a, b in zip(ends, ends[1:])] + [off])
+        #: The payload of the piece holding a point, None off every piece.
+        self.get = self.compile(lambda payload: payload, None)
+
+    def compile(self, convert, off_pieces):
+        """A point mapped to ``convert`` of the payload of the piece holding
+        it, and to ``off_pieces`` off every piece; ``convert`` runs once per
+        piece."""
+        table = [convert(p) for p in self._payloads] + [off_pieces]
+        at_end, ends, in_gap = self._at_end, self._ends, self._in_gap
+        bisect_right = _bisect.bisect_right
+
+        def at(t):
+            idx = at_end.get(t)
+            if idx is None:
+                idx = in_gap[bisect_right(ends, t)]
+            return table[idx]
+        return at
 
 
 class Integrand:
@@ -85,6 +113,14 @@ class Integrand:
 
     def value_at(self, t: float) -> RieszValue:
         raise NotImplementedError
+
+    def compile(self, like: RieszValue, keys: tuple) -> CoordinateMap:
+        """The value at a tag as floats over ``keys`` in the lattice of
+        ``like``, compiled once per Riemann sum.  This default reads
+        :meth:`value_at`; families with a closed form override it, and a
+        subclass that changes their ``value_at`` must change this too."""
+        value_at = self.value_at
+        return lambda t: coordinates(value_at(t), like, keys)
 
     def zero_value(self) -> RieszValue:
         """Zero of the integrand's value lattice."""
@@ -117,6 +153,10 @@ class ConstantIntegrand(Integrand):
 
     def value_at(self, t):
         return self.value
+
+    def compile(self, like, keys):
+        c = coordinates(self.value, like, keys)
+        return lambda t: c
 
     def zero_value(self):
         return zero_like(self.value)
@@ -159,6 +199,10 @@ class SimpleIntegrand(Integrand):
         v = self._lookup.get(t)
         return v if v is not None else self._zero
 
+    def compile(self, like, keys):
+        return self._lookup.compile(lambda v: coordinates(v, like, keys),
+                                    coordinates(self._zero, like, keys))
+
     def zero_value(self):
         return self._zero
 
@@ -196,6 +240,20 @@ class PointwiseScalar(Integrand):
 
     def value_at(self, t):
         return self.direction.scale(self.coeff * self.form.fn(t))
+
+    def compile(self, like, keys):
+        fn, coeff = self.form.fn, self.coeff
+        direction = coordinates(self.direction, like, keys)
+        if len(direction) == 1:
+            # one coordinate, as in every scalar sum: a tuple display costs
+            # a fraction of a comprehension
+            d, = direction
+            return lambda t: (d * (coeff * fn(t)),)
+
+        def at(t):
+            s = coeff * fn(t)
+            return tuple([x * s for x in direction])
+        return at
 
     def zero_value(self):
         return zero_like(self.direction)

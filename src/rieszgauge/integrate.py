@@ -19,8 +19,9 @@ from .errors import (EmptyProbeSet, GaugeConstructionFailed, NotCertifiable,
 from .integrands import (ConstantIntegrand, CounterexampleC00, Integrand,
                          PointwiseScalar, SelectionIntegrand, SimpleIntegrand)
 from .regulators import IndexMap, Regulator, envelope, min_envelope
-from .values import (ORDER_SLACK, RieszValue, Scalar, SparseSeq,
-                     coordinate_min_over_support, leq, mul, zero_like)
+from .values import (ORDER_SLACK, RieszValue, Scalar, SparseSeq, Vector,
+                     coordinate_min_over_support, coordinates,
+                     from_coordinates, leq, mul, zero_like)
 
 
 def as_borel(E) -> BorelSet:
@@ -36,22 +37,70 @@ def as_borel(E) -> BorelSet:
 # ---------------------------------------------------------------------------
 
 def riemann_sum(f: Integrand, part: TaggedPartition, spec: MeasureSpec) -> RieszValue:
-    """The tagged sum ``sum_i f(tag_i) * mu(cell_i)``."""
-    if isinstance(spec.m0, Scalar) and isinstance(f.zero_value(), Scalar):
-        value_at = f.value_at
-        total = 0.0
+    """The tagged sum ``sum_i f(tag_i) * mu(cell_i)``, taken in coordinates
+    in cell order (see :func:`weighted_sums`)."""
+    total, = weighted_sums(f.compile, f.zero_value(), part, spec, 1,
+                           lambda t: (f.value_at(t),))
+    return total
+
+
+def _coordinate_sum(at, part: TaggedPartition, weights, start) -> list[float]:
+    """``start[k] + sum_i at(tag_i)[k] * (weights[k] * length_i)`` for every
+    coordinate ``k``, added cell by cell in cell order, as a lattice value
+    would be; cells of length zero are skipped before their tag is
+    evaluated."""
+    if len(start) == 1:
+        # one coordinate, as in every scalar Riemann sum: no inner loop
+        (acc,), (w,) = start, weights
         for cell, tag in part.items:
             ln = cell.hi - cell.lo
             if ln != 0.0:
-                total += value_at(tag).value * ln
-        return Scalar(total * spec.m0.value)
-    total = mul(f.zero_value(), spec.m0)
+                acc = acc + at(tag)[0] * (w * ln)
+        return [acc]
+    acc = list(start)
+    coords = range(len(acc))
     for cell, tag in part.items:
-        ln = cell.length()
-        if ln == 0.0:
-            continue
-        total = total + mul(f.value_at(tag), spec.of_length(ln))
-    return total
+        ln = cell.hi - cell.lo
+        if ln != 0.0:
+            v = at(tag)
+            for k in coords:
+                acc[k] = acc[k] + v[k] * (weights[k] * ln)
+    return acc
+
+
+def weighted_sums(compile_at, zero: RieszValue, part: TaggedPartition,
+                  spec: MeasureSpec, copies: int, values_at) -> list[RieszValue]:
+    """The Riemann sums of ``copies`` functions at once, for values in the
+    lattice of ``zero``.
+
+    ``compile_at(like, keys)`` gives a closure from a tag to the floats of
+    all ``copies`` values over ``keys``, one run of keys after another.
+    Scalars keep the formula ``(sum value * length) * m0``; other lattices
+    add ``value * (m0 * length)`` per coordinate, starting from
+    ``zero * m0``.  A sequence under a scalar generator has no fixed keys:
+    they are the supports that ``values_at(tag)`` reaches over the cells.
+    """
+    m0 = spec.m0
+    if isinstance(m0, Scalar) and isinstance(zero, Scalar):
+        sums = _coordinate_sum(compile_at(zero, (0,)), part,
+                               (1.0,) * copies, (0.0,) * copies)
+        return [Scalar(s * m0.value) for s in sums]
+    like = mul(zero, m0)
+    if isinstance(like, Vector):
+        keys = tuple(range(like.dim))
+    elif isinstance(m0, SparseSeq):
+        keys = m0.support()
+    else:
+        keys = tuple(sorted({k for cell, tag in part.items
+                             if cell.hi - cell.lo != 0.0
+                             for v in values_at(tag)
+                             for k, _ in v.nonzero_coords()}))
+    sums = _coordinate_sum(compile_at(like, keys), part,
+                           coordinates(m0, like, keys) * copies,
+                           coordinates(like, like, keys) * copies)
+    n = len(keys)
+    return [from_coordinates(like, keys, sums[j * n:(j + 1) * n])
+            for j in range(copies)]
 
 
 def _midpoint_refined(fn, a: float, b: float) -> float:

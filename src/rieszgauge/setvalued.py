@@ -11,22 +11,23 @@ tying the two together.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .domain import (BorelSet, Gauge, MeasureSpec, TaggedPartition,
                      iter_fine_partitions, measure)
 from .errors import (EmptyFamily, EmptyProbeSet, NegativeScaleUnsupported,
                      PiecesOverlap, UnboundedMultifunction, ZeroNotInValues)
-from .integrands import (ConstantIntegrand, Integrand, PieceLookup,
-                         SimpleIntegrand)
-from .integrate import as_borel, kh_integrate
-from .regulators import (Regulator, Scaled, SumPair, envelope, max_envelope,
-                         min_envelope)
-from .values import (ORDER_SLACK, RieszValue, Scalar, clamp, leq, mul,
-                     ones_like, zero_like)
+from .integrands import (_GRID, ConstantIntegrand, CoordinateMap, Integrand,
+                         PieceLookup, SimpleIntegrand)
+from .integrate import as_borel, kh_integrate, weighted_sums
+from .regulators import Regulator, Scaled, SumPair, envelope, max_envelope
+from .values import (ORDER_SLACK, RieszValue, SparseSeq, clamp, coordinates,
+                     leq, mul, ones_like, zero_like)
 
-_GRID = tuple(i / 64.0 for i in range(65))
+_ORDER_MESSAGE = "an order interval needs lo <= hi"
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class OrderInterval:
 
     def __post_init__(self):
         if not leq(self.lo, self.hi):
-            raise ValueError("an order interval needs lo <= hi")
+            raise ValueError(_ORDER_MESSAGE)
 
     @classmethod
     def singleton(cls, v: RieszValue) -> "OrderInterval":
@@ -55,6 +56,10 @@ class OrderInterval:
 
     def width(self) -> RieszValue:
         return self.hi - self.lo
+
+    def coordinates(self, like: RieszValue, keys) -> tuple[float, ...]:
+        """The floats of ``lo`` over ``keys`` followed by those of ``hi``."""
+        return coordinates(self.lo, like, keys) + coordinates(self.hi, like, keys)
 
 
 def neighborhood_contains(C: OrderInterval, r: RieszValue, z: RieszValue,
@@ -96,6 +101,15 @@ class Multifunction:
     def value_at(self, t: float) -> OrderInterval:
         raise NotImplementedError
 
+    def compile(self, like: RieszValue, keys: tuple) -> CoordinateMap:
+        """The value interval at a tag as the floats of its lower end over
+        ``keys`` followed by those of its upper end, compiled once per
+        set-sum; a tag whose interval has ``lo > hi`` raises ValueError as
+        :class:`OrderInterval` does.  This default reads :meth:`value_at`,
+        as :meth:`Integrand.compile` does."""
+        value_at = self.value_at
+        return lambda t: value_at(t).coordinates(like, keys)
+
     def boundary_points(self) -> tuple[float, ...]:
         return ()
 
@@ -129,6 +143,10 @@ class ConstantSet(Multifunction):
 
     def value_at(self, t):
         return self.value
+
+    def compile(self, like, keys):
+        c = self.value.coordinates(like, keys)
+        return lambda t: c
 
     def bound(self):
         return abs(self.value.lo).join(abs(self.value.hi))
@@ -171,6 +189,11 @@ class SimpleSet(Multifunction):
     def value_at(self, t):
         C = self._lookup.get(t)
         return C if C is not None else OrderInterval.singleton(self.zero_value())
+
+    def compile(self, like, keys):
+        return self._lookup.compile(
+            lambda C: C.coordinates(like, keys),
+            coordinates(self.zero_value(), like, keys) * 2)
 
     def boundary_points(self):
         pts: set[float] = set()
@@ -223,6 +246,29 @@ class IntervalValued(Multifunction):
     def value_at(self, t):
         return OrderInterval(self.lower.value_at(t), self.upper.value_at(t))
 
+    def compile(self, like, keys):
+        # the order is checked on every coordinate either end can reach, so
+        # in a sequence space also where the measure vanishes
+        n = len(keys)
+        if isinstance(like, SparseSeq):
+            try:
+                bound = self.bound()
+            except UnboundedMultifunction:
+                return super().compile(like, keys)
+            keys = keys + tuple(k for k, _ in bound.nonzero_coords()
+                                if k not in keys)
+        lower = self.lower.compile(like, keys)
+        upper = self.upper.compile(like, keys)
+        le = operator.le
+
+        def at(t):
+            lo = lower(t)
+            hi = upper(t)
+            if not all(map(le, lo, hi)):
+                raise ValueError(_ORDER_MESSAGE)
+            return lo[:n] + hi[:n]
+        return at
+
     def boundary_points(self):
         pts = set(self.lower.boundary_points())
         pts |= set(self.upper.boundary_points())
@@ -269,30 +315,23 @@ def singleton_multifunction(f: Integrand) -> Multifunction:
 def riemann_set_sum(F: Multifunction, part: TaggedPartition,
                     spec: MeasureSpec) -> OrderInterval:
     """Dot-sum over cells of the value interval at the tag scaled by the cell
-    measure."""
-    if isinstance(spec.m0, Scalar) and isinstance(F.zero_value(), Scalar):
-        lo = 0.0
-        hi = 0.0
-        for cell, tag in part.items:
-            ln = cell.hi - cell.lo
-            if ln != 0.0:
-                C = F.value_at(tag)
-                lo += C.lo.value * ln
-                hi += C.hi.value * ln
-        s = spec.m0.value
-        return OrderInterval(Scalar(lo * s), Scalar(hi * s))
-    zero = mul(F.zero_value(), spec.m0)
-    lo = zero
-    hi = zero
-    for cell, tag in part.items:
-        ln = cell.length()
-        if ln == 0.0:
-            continue
-        C = F.value_at(tag)
-        w = spec.of_length(ln)
-        lo = lo + mul(C.lo, w)
-        hi = hi + mul(C.hi, w)
+    measure.
+
+    The sum is taken in coordinates, in cell order: each coordinate of each
+    end adds ``value * (m0 * length)`` cell by cell, scalars keep the formula
+    ``(sum value * length) * m0``, and a lattice value and an order interval
+    are built once per partition (see :func:`~rieszgauge.integrate.weighted_sums`).
+    For finite values the result equals the dot-sum of the per-cell
+    intervals bit for bit, and a tag whose value interval has ``lo > hi``
+    raises ValueError as the per-cell interval would.
+    """
+    lo, hi = weighted_sums(F.compile, F.zero_value(), part, spec, 2,
+                           lambda t: _ends(F.value_at(t)))
     return OrderInterval(lo, hi)
+
+
+def _ends(C: OrderInterval) -> tuple[RieszValue, RieszValue]:
+    return (C.lo, C.hi)
 
 
 def _relevant_jumps(F: Multifunction, E: BorelSet) -> tuple[float, ...]:
@@ -384,13 +423,13 @@ def phi_membership(z: RieszValue, F: Multifunction, E, spec: MeasureSpec,
     probes = tuple(probes)
     if not probes:
         raise EmptyProbeSet("no probes given")
-    env_meet = min_envelope(reg, probes)
+    envs = [envelope(reg, phi) for phi in probes]
+    env_meet = reduce(lambda a, b: a.meet(b), envs)
     if _gauge_search(z, F, E, spec, env_meet,
                      _level_schedule(F, E, spec, env_meet, max_level),
                      partition_samples, seed, max_depth):
         return True
-    for phi in sorted(probes, key=lambda p: envelope(reg, p).sup_norm()):
-        env = envelope(reg, phi)
+    for env in sorted(envs, key=lambda e: e.sup_norm()):
         if env == env_meet:
             # the meet search above already exhausted exactly these radii
             return False

@@ -327,6 +327,28 @@ def lattice_op(kind: str, a: RieszValue, b: RieszValue | None = None, *,
     raise ValueError(f"unknown lattice operation {kind!r}")
 
 
+def coordinates(v: RieszValue, like: RieszValue, keys) -> tuple[float, ...]:
+    """The floats of ``v`` over ``keys`` in the lattice of ``like``: vector
+    indices, or sequence indices that read 0 off the support.  A scalar
+    broadcasts over every key, as in :func:`mul`; any other variant must
+    match ``like``."""
+    if isinstance(v, Scalar):
+        return (v.value,) * len(keys)
+    like._check(v)
+    if isinstance(v, Vector):
+        return v.values
+    entries = dict(v.items)
+    return tuple(entries.get(k, 0.0) for k in keys)
+
+
+def from_coordinates(like: RieszValue, keys, coords) -> RieszValue:
+    """The vector or sequence of ``like``'s lattice with ``coords`` over
+    ``keys``; the inverse of :func:`coordinates`."""
+    if isinstance(like, Vector):
+        return Vector(coords)
+    return SparseSeq(zip(keys, coords))
+
+
 def zero_like(v: RieszValue) -> RieszValue:
     if isinstance(v, Scalar):
         return Scalar(0.0)

@@ -4,6 +4,9 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
+
+from rieszgauge.config import SpecError, parse_value
 
 REPO = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO / "docs" / "report.schema.json").read_text())
@@ -48,6 +51,32 @@ def test_integrate_usage_error_exits_1():
     assert "nonsense" in proc.stderr
     proc = run_cli("integrate")
     assert proc.returncode == 1
+
+
+def test_integrate_non_finite_value_exits_1():
+    for value in ("nan", "inf", "-inf"):
+        proc = run_cli("integrate", "--f", f"const:{value}")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: value {value!r} is not finite"]
+
+
+def test_integrate_bad_simple_bounds_exit_1():
+    for spec in ("simple:0,nan,1", "simple:0.5,0.25,1"):
+        proc = run_cli("integrate", "--f", spec)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "bad bounds in simple piece" in lines[0]
+
+
+def test_parse_value_rejects_non_finite_coordinates():
+    for text, space in (("NaN", "scalar"), ("[1, NaN]", "vector:2"),
+                        ("[Infinity, 0]", "vector:2"),
+                        ('{"3": -Infinity}', "c00")):
+        with pytest.raises(SpecError, match="not finite"):
+            parse_value(text, space)
 
 
 def test_phi_constant_and_member():
@@ -99,6 +128,13 @@ def test_counterexample_subcommand():
     payload = validated(proc.stdout)
     assert payload["verdict"] == "UNBOUNDED"
     assert [e["n"] for e in payload["entries"]] == list(range(2, 9))
+
+
+def test_counterexample_n_max_below_two_exits_1():
+    proc = run_cli("counterexample", "--n-max", "1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: --n-max must be at least 2"]
 
 
 def test_suite_unknown_exits_1():

@@ -1,0 +1,298 @@
+"""The coordinate kernel behind ``riemann_sum`` and ``riemann_set_sum``
+against the per-cell lattice loops it replaced, kept here as the reference:
+every sum must agree bit for bit, and every tag whose value interval is out
+of order must still raise."""
+
+import bisect
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rieszgauge.domain import (BorelSet, Gauge, Interval, MeasureSpec,
+                               TaggedPartition, iter_fine_partitions)
+from rieszgauge.integrands import (SCALAR_FORMS, ConstantIntegrand,
+                                   CounterexampleC00, PieceLookup,
+                                   PointwiseScalar, ScalarForm,
+                                   SelectionIntegrand, SimpleIntegrand)
+from rieszgauge.integrate import riemann_sum
+from rieszgauge.setvalued import (ConstantSet, IntervalValued, OrderInterval,
+                                  SimpleSet, riemann_set_sum,
+                                  singleton_multifunction)
+from rieszgauge.values import Scalar, SparseSeq, Vector, mul, zero_like
+
+
+# ---------------------------------------------------------------------------
+# the reference: one lattice value per cell, added in cell order
+# ---------------------------------------------------------------------------
+
+def reference_riemann_sum(f, part, spec):
+    if isinstance(spec.m0, Scalar) and isinstance(f.zero_value(), Scalar):
+        total = 0.0
+        for cell, tag in part.items:
+            ln = cell.hi - cell.lo
+            if ln != 0.0:
+                total += f.value_at(tag).value * ln
+        return Scalar(total * spec.m0.value)
+    total = mul(f.zero_value(), spec.m0)
+    for cell, tag in part.items:
+        ln = cell.length()
+        if ln == 0.0:
+            continue
+        total = total + mul(f.value_at(tag), spec.of_length(ln))
+    return total
+
+
+def reference_riemann_set_sum(F, part, spec):
+    if isinstance(spec.m0, Scalar) and isinstance(F.zero_value(), Scalar):
+        lo = 0.0
+        hi = 0.0
+        for cell, tag in part.items:
+            ln = cell.hi - cell.lo
+            if ln != 0.0:
+                C = F.value_at(tag)
+                lo += C.lo.value * ln
+                hi += C.hi.value * ln
+        s = spec.m0.value
+        return OrderInterval(Scalar(lo * s), Scalar(hi * s))
+    zero = mul(F.zero_value(), spec.m0)
+    lo = zero
+    hi = zero
+    for cell, tag in part.items:
+        ln = cell.length()
+        if ln == 0.0:
+            continue
+        C = F.value_at(tag)
+        w = spec.of_length(ln)
+        lo = lo + mul(C.lo, w)
+        hi = hi + mul(C.hi, w)
+    return OrderInterval(lo, hi)
+
+
+def reference_lookup(pieces, t):
+    """The piece lookup as a scan of the two latest-starting components and
+    the single points, earliest piece first on ties."""
+    rows = sorted((c.lo, c.hi, idx) for idx, (part, _) in enumerate(pieces)
+                  for c in part.components if c.lo != c.hi)
+    points = {}
+    for idx, (part, _) in enumerate(pieces):
+        for c in part.components:
+            if c.lo == c.hi:
+                points.setdefault(c.lo, idx)
+    i = bisect.bisect_right([row[0] for row in rows], t)
+    best = points.get(t)
+    for lo, hi, idx in rows[max(0, i - 2):i]:
+        if lo <= t <= hi and (best is None or idx < best):
+            best = idx
+    return None if best is None else pieces[best][1]
+
+
+def assert_same(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# lattices: values in c00 also reach index 3, which the generator annihilates
+# ---------------------------------------------------------------------------
+
+LATTICES = {
+    "scalar": (Scalar(1.5), 1, lambda xs: Scalar(xs[0])),
+    "vector:2": (Vector([1.0, 2.0]), 2, Vector),
+    # a signed zero in the generator makes the start, zero * m0, a -0.0
+    "vector:3": (Vector([0.75, 2.0, -0.0]), 3, Vector),
+    "c00": (SparseSeq({1: 1.0, 2: 2.0}), 3,
+            lambda xs: SparseSeq(zip((1, 3, 2), xs))),
+    "c00 under a scalar generator": (Scalar(0.625), 3,
+                                     lambda xs: SparseSeq(zip((1, 3, 2), xs))),
+}
+
+coordinate = st.floats(-8.0, 8.0)
+
+#: Form pairs with the first below the second on [0, 1].
+ORDERED_FORMS = [("neg_t", "t"), ("neg_t", "half_t"), ("half_t", "t"),
+                 ("square", "t"), ("neg_t", "square"), ("neg_t", "one_minus_t"),
+                 ("t", "t")]
+
+
+class Draws:
+    """Values, intervals, integrands and multifunctions of one lattice,
+    drawn through ``draw``."""
+
+    def __init__(self, draw, name):
+        self.draw = draw
+        m0, self.width, self.make = LATTICES[name]
+        self.spec = MeasureSpec(m0)
+
+    def floats(self, elements):
+        return self.draw(st.lists(elements, min_size=self.width,
+                                  max_size=self.width))
+
+    def value(self, nonneg=False):
+        return self.make(self.floats(st.floats(0.0, 8.0) if nonneg
+                                     else coordinate))
+
+    def interval(self):
+        a = self.floats(coordinate)
+        gaps = self.floats(st.floats(0.0, 4.0))
+        return OrderInterval(self.make(a),
+                             self.make([x + g for x, g in zip(a, gaps)]))
+
+    def pieces(self, payload):
+        cuts = sorted(set(self.draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                             max_size=6))))
+        out = tuple((BorelSet.from_pairs([[a, b]]), payload())
+                    for a, b in zip(cuts[::2], cuts[1::2]))
+        return out or ((BorelSet.whole(), payload()),)
+
+    def integrand(self):
+        kind = self.draw(st.sampled_from(["form", "simple", "constant",
+                                          "selection"]))
+        if kind == "form":
+            name = self.draw(st.sampled_from(sorted(SCALAR_FORMS)))
+            return PointwiseScalar(SCALAR_FORMS[name], self.value(),
+                                   self.draw(coordinate))
+        if kind == "simple":
+            return SimpleIntegrand(self.pieces(self.value))
+        if kind == "constant":
+            return ConstantIntegrand(self.value())
+        return self.selection(self.value(nonneg=True))
+
+    def selection(self, direction):
+        mix = self.pieces(lambda: self.draw(st.floats(0.0, 1.0)))
+        return SelectionIntegrand(
+            PointwiseScalar(SCALAR_FORMS["neg_t"], direction),
+            PointwiseScalar(SCALAR_FORMS["t"], direction), mix)
+
+    def multifunction(self):
+        kind = self.draw(st.sampled_from(["forms", "form and selection",
+                                          "simple", "constant", "singleton"]))
+        direction = self.value(nonneg=True)
+        if kind == "forms":
+            lower, upper = self.draw(st.sampled_from(ORDERED_FORMS))
+            coeff = self.draw(st.floats(0.0, 4.0))
+            return IntervalValued(
+                PointwiseScalar(SCALAR_FORMS[lower], direction, coeff),
+                PointwiseScalar(SCALAR_FORMS[upper], direction, coeff))
+        if kind == "form and selection":
+            return IntervalValued(
+                PointwiseScalar(SCALAR_FORMS["neg_t"], direction),
+                self.selection(direction))
+        if kind == "simple":
+            return SimpleSet(self.pieces(self.interval))
+        if kind == "constant":
+            return ConstantSet(self.interval())
+        return singleton_multifunction(self.integrand())
+
+    def partitions(self):
+        radius = self.draw(st.floats(0.02, 0.5))
+        spikes = self.draw(st.lists(st.integers(2, 12), max_size=3,
+                                    unique=True))
+        gauge = Gauge.constant(radius,
+                               mandatory_tags=[1.0 / n for n in spikes])
+        cuts = sorted(self.draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                         max_size=4)))
+        region = BorelSet.from_pairs([[cuts[i], cuts[i + 1]]
+                                      for i in range(0, len(cuts) - 1, 2)])
+        seed = self.draw(st.integers(0, 10 ** 6))
+        return iter_fine_partitions(gauge, region, 3, seed)
+
+
+lattice_names = st.sampled_from(sorted(LATTICES))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), lattice_names)
+def test_riemann_sum_matches_cell_by_cell_reference(data, name):
+    d = Draws(data.draw, name)
+    fs = [d.integrand()]
+    if name.startswith("c00"):
+        fs.append(CounterexampleC00())
+    for part in d.partitions():
+        for f in fs:
+            assert_same(riemann_sum(f, part, d.spec),
+                        reference_riemann_sum(f, part, d.spec))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), lattice_names)
+def test_riemann_set_sum_matches_cell_by_cell_reference(data, name):
+    d = Draws(data.draw, name)
+    Fs = [d.multifunction()]
+    if name.startswith("c00"):
+        Fs.append(singleton_multifunction(CounterexampleC00()))
+    for part in d.partitions():
+        for F in Fs:
+            assert_same(riemann_set_sum(F, part, d.spec),
+                        reference_riemann_set_sum(F, part, d.spec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 16), min_size=1, max_size=6),
+                min_size=1, max_size=5),
+       st.lists(st.floats(-0.25, 1.25), max_size=8))
+def test_piece_lookup_matches_scan(cut_lists, extra):
+    # components on the 1/16 grid share endpoints and include single points;
+    # pieces may touch, and a later piece may hold a point inside an earlier one
+    pieces = []
+    for k, cuts in enumerate(cut_lists):
+        cuts = sorted(cuts)
+        pairs = [[cuts[i] / 16, cuts[i + 1] / 16]
+                 for i in range(0, len(cuts) - 1, 2)] or [[cuts[0] / 16] * 2]
+        pieces.append((BorelSet.from_pairs(pairs), k))
+    lookup = PieceLookup(pieces)
+    ends = sorted({x for part, _ in pieces for c in part.components
+                   for x in (c.lo, c.hi)})
+    probes = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])] + extra
+    for t in probes + [math.nextafter(t, 2.0) for t in ends]:
+        assert lookup.get(t) == reference_lookup(pieces, t)
+
+
+# ---------------------------------------------------------------------------
+# the per-tag order check
+# ---------------------------------------------------------------------------
+
+#: sin(64 pi t) is zero up to rounding on the 1/64 grid that IntervalValued
+#: checks, and crosses zero between its points.
+SIN64 = ScalarForm("sin64", lambda t: math.sin(64.0 * math.pi * t),
+                   64.0 * math.pi)
+
+
+def crossing(unit):
+    return IntervalValued(PointwiseScalar(SIN64, unit),
+                          ConstantIntegrand(zero_like(unit)))
+
+
+CROSSINGS = [
+    (MeasureSpec(Scalar(1.0)), Scalar(1.0)),
+    (MeasureSpec(Vector([1.0, 2.0])), Vector([0.0, 1.0])),
+    (MeasureSpec(SparseSeq({1: 1.0, 2: 2.0})), SparseSeq({1: 1.0})),
+    # on index 3 the measure vanishes, yet the interval is still out of order
+    (MeasureSpec(SparseSeq({1: 1.0, 2: 2.0})), SparseSeq({3: 1.0})),
+]
+
+
+@pytest.mark.parametrize("spec,unit", CROSSINGS)
+def test_out_of_order_tag_raises(spec, unit):
+    F = crossing(unit)
+    inside = TaggedPartition(((Interval(0.0, 0.5), 3.0 / 128.0),
+                              (Interval(0.5, 1.0), 0.5 + 1.0 / 128.0)))
+    with pytest.raises(ValueError, match="lo <= hi"):
+        riemann_set_sum(F, inside, spec)
+    sampled = iter_fine_partitions(Gauge.constant(1.0 / 256), BorelSet.whole(),
+                                   2, "cross")
+    for part in sampled:
+        with pytest.raises(ValueError, match="lo <= hi"):
+            riemann_set_sum(F, part, spec)
+
+
+@pytest.mark.parametrize("spec,unit", CROSSINGS)
+def test_in_order_tags_and_empty_cells_do_not_raise(spec, unit):
+    F = crossing(unit)
+    # sin(64 pi t) is 0 at 0 and -1 at 3/128; the crossing tag 1/128 sits
+    # on an empty cell, which is never evaluated
+    part = TaggedPartition(((Interval(0.0, 1.0 / 128.0), 0.0),
+                            (Interval(1.0 / 128.0, 1.0 / 128.0), 1.0 / 128.0),
+                            (Interval(1.0 / 128.0, 1.0), 3.0 / 128.0)))
+    assert_same(riemann_set_sum(F, part, spec),
+                reference_riemann_set_sum(F, part, spec))
