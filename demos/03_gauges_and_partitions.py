@@ -8,7 +8,7 @@ those points, as long as it stays above a positive floor elsewhere.
 """
 
 from rieszgauge import BorelSet, Gauge, Interval, cousin_partition, is_fine
-from rieszgauge.domain import partition_borel, sample_fine_partitions
+from rieszgauge.domain import iter_fine_partitions, partition_borel
 
 wide = Gauge.constant(2.0)
 print("radius 2 swallows [0,1] whole:",
@@ -37,9 +37,8 @@ print(f"\nanchored at 0.5: {len(part)} cells, {len(tiny)} of them tiny "
 
 # randomized fine perturbations mix scales but never break fineness
 region = BorelSet.from_pairs([[0.0, 0.4], [0.6, 1.0]])
-sizes = [len(p) for p in sample_fine_partitions(snug, region, 8, seed="demo")]
-print("\nsampled partition sizes over a two-piece set:", sizes)
-print("all fine:", all(is_fine(p, snug)
-                       for p in sample_fine_partitions(snug, region, 8,
-                                                       seed="demo")))
+sampled = list(iter_fine_partitions(snug, region, 8, seed="demo"))
+print("\nsampled partition sizes over a two-piece set:",
+      [len(p) for p in sampled])
+print("all fine:", all(is_fine(p, snug) for p in sampled))
 assert partition_borel(snug, region).covers(region)

@@ -9,7 +9,7 @@ oracle) and Aumann-style selection integrals.
 """
 
 from .values import (ORDER_SLACK, RieszValue, Scalar, SparseSeq, Vector,
-                     clamp, lattice_op, leq, mul, ones_like, zero_like)
+                     clamp, leq, mul, ones_like, zero_like)
 from .regulators import (AffineMap, ConstantMap, ExponentialMap, FiniteMatrix,
                          FremlinCombination, Geometric, IdentityMap, IndexMap,
                          Regulator, Scaled, ShiftedMap, SumPair, d_limit_check,
@@ -17,15 +17,14 @@ from .regulators import (AffineMap, ConstantMap, ExponentialMap, FiniteMatrix,
                          regulator_entry, standard_probes, zero_regulator)
 from .domain import (BorelSet, Gauge, Interval, MeasureSpec, TaggedPartition,
                      cousin_partition, is_fine, measure, partition_borel,
-                     regularity_witness, sample_fine_partitions,
-                     sigma_additivity_check)
+                     regularity_witness, sigma_additivity_check)
 from .integrands import (ConstantIntegrand, CounterexampleC00, Integrand,
                          PointwiseScalar, SCALAR_FORMS, ScalarForm,
                          SelectionIntegrand, SimpleIntegrand, named_integrand)
 from .integrate import (IntegralCertificate, ProbeReport,
                         counterexample_partition, counterexample_unboundedness,
-                        integral_additivity_check, integral_value,
-                        kh_integrate, riemann_sum)
+                        integral_additivity_check, kh_integrate,
+                        riemann_sum)
 from .setvalued import (ConstantSet, IntervalValued, Multifunction,
                         OrderInterval, SimpleSet, dot_sum,
                         neighborhood_contains, phi_closedness_check,

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import BorelSet, MeasureSpec, measure
+from .domain import BorelSet, MeasureSpec
 from .errors import EmptySelectionFamily, PiecesOverlap
 from .integrands import SelectionIntegrand
 from .integrate import as_borel, kh_integrate
 from .regulators import Regulator, min_envelope
-from .setvalued import (Multifunction, OrderInterval, SimpleSet, dot_sum,
-                        mul, phi_interval_oracle, phi_membership, set_scale)
+from .setvalued import (Multifunction, OrderInterval, SimpleSet,
+                        endpoint_integrals, phi_interval_oracle, phi_membership)
 from .values import ORDER_SLACK, RieszValue, leq
 
 MixSpec = float | tuple[tuple[BorelSet, float], ...]
+
+#: Cells of the uniform grid that the alternating default mix runs over.
+_MIX_CELLS = 16
 
 
 def _normalize_mix(mix: MixSpec) -> tuple[tuple[BorelSet, float], ...]:
@@ -64,14 +67,14 @@ class AumannResult:
     hull: OrderInterval
 
 
-def default_mixes(F: Multifunction, grid_cells: int = 16) -> tuple[MixSpec, ...]:
+def default_mixes(F: Multifunction) -> tuple[MixSpec, ...]:
     """Constant mixes at the five standard levels, an alternating 0/1 mix on a
     uniform grid, and the indicator mix of each piece of the multifunction."""
     mixes: list[MixSpec] = [0.0, 0.25, 0.5, 0.75, 1.0]
-    grid = [i / grid_cells for i in range(grid_cells + 1)]
+    grid = [i / _MIX_CELLS for i in range(_MIX_CELLS + 1)]
     alternating = tuple(
         (BorelSet.from_pairs([[grid[i], grid[i + 1]]]), float(i % 2))
-        for i in range(grid_cells))
+        for i in range(_MIX_CELLS))
     mixes.append(alternating)
     for p in F.boundary_points():
         if 0.0 < p < 1.0:
@@ -81,8 +84,7 @@ def default_mixes(F: Multifunction, grid_cells: int = 16) -> tuple[MixSpec, ...]
 
 def aumann_integral(F: Multifunction, A, spec: MeasureSpec, reg: Regulator,
                     probes, mixes, *, partition_samples: int = 32,
-                    seed="aumann", max_depth: int = 48,
-                    max_level: int = 20) -> AumannResult:
+                    seed="aumann", max_depth: int = 48) -> AumannResult:
     """Integrate every selection in the mix family and return the point set
     with its interval hull (which has the lower/upper endpoint integrals as
     its ends whenever the constant mixes 0 and 1 are present)."""
@@ -118,20 +120,15 @@ class ComparisonReport:
 
 def comparison_simple(F: SimpleSet, A, spec: MeasureSpec, reg: Regulator,
                       probes, *, partition_samples: int = 32, seed="compare",
-                      max_depth: int = 48, max_level: int = 20) -> ComparisonReport:
+                      max_depth: int = 48) -> ComparisonReport:
     """For a simple multifunction, compare the endpoint-sum formula, the hull
     of the endpoint selections, and the interval oracle, and check that every
     selection integral passes membership in the set-valued integral."""
     if not isinstance(F, SimpleSet):
         raise PiecesOverlap("the comparison needs a simple multifunction")
     A = as_borel(A)
-    kw = dict(partition_samples=partition_samples, max_depth=max_depth,
-              max_level=max_level)
-    zero = OrderInterval.singleton(mul(F.zero_value(), spec.m0))
-    pieces = [zero]
-    pieces.extend(set_scale(C, measure(spec, S.intersection(A)))
-                  for S, C in F.pieces)
-    sum_formula = dot_sum(pieces)
+    kw = dict(partition_samples=partition_samples, max_depth=max_depth)
+    sum_formula = endpoint_integrals(F, A, spec)
     aum = aumann_integral(F, A, spec, reg, probes, mixes=(0.0, 1.0),
                           seed=f"{seed}:aumann", **kw)
     oracle = phi_interval_oracle(F, A, spec, reg, probes,

@@ -1,5 +1,5 @@
 """Run configuration: value space, measure generator, regulator, probes,
-tolerances, seed, and the small text formats the command line accepts.
+sampling limits, seed, and the small text formats the command line accepts.
 
 Config files are flat INI-style key/value sections; every value can be
 overridden by a flag.  See the README for the full format.
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .domain import BorelSet, MeasureSpec
-from .errors import RieszGaugeError
+from .errors import NotDisjoint, PiecesOverlap, RieszGaugeError
 from .integrands import (ConstantIntegrand, Integrand, SimpleIntegrand,
                          named_integrand)
 from .regulators import (AffineMap, ConstantMap, ExponentialMap, Geometric,
@@ -21,7 +21,7 @@ from .regulators import (AffineMap, ConstantMap, ExponentialMap, Geometric,
                          zero_regulator)
 from .setvalued import (ConstantSet, IntervalValued, Multifunction,
                         OrderInterval, SimpleSet)
-from .values import RieszValue, Scalar, SparseSeq, Vector
+from .values import RieszValue, Scalar, SparseSeq, Vector, ones_like
 
 
 class SpecError(RieszGaugeError):
@@ -38,11 +38,8 @@ class RunConfig:
     seed: int = 0
     partition_samples: int = 32
     max_depth: int = 48
-    order_slack: float = 1e-12
 
     def __post_init__(self):
-        if self.order_slack <= 0.0:
-            raise SpecError("order_slack must be positive")
         if self.partition_samples < 1:
             raise SpecError("partition_samples must be at least 1")
         if self.max_depth < 1:
@@ -58,6 +55,12 @@ class RunConfig:
         if self.value_space.startswith("vector"):
             return Vector((1.0,) * _vector_dim(self.value_space))
         return SparseSeq({1: 1.0})
+
+    def regulator_unit(self) -> RieszValue:
+        """The element that regulator bases scale: :meth:`unit` joined with
+        ones on the support of ``m0``, so that every coordinate the measure
+        charges gets a positive envelope."""
+        return self.unit().join(ones_like(self.m0))
 
 
 def _vector_dim(space: str) -> int:
@@ -187,7 +190,10 @@ def parse_integrand(text: str, config: RunConfig) -> Integrand:
                 raise SpecError(f"bad bounds in simple piece {chunk!r}: {exc}")
             value = parse_value(fields[2], config.value_space)
             pieces.append((part, value))
-        return SimpleIntegrand(tuple(pieces))
+        try:
+            return SimpleIntegrand(tuple(pieces))
+        except NotDisjoint as exc:
+            raise SpecError(f"bad simple integrand spec: {exc}")
     try:
         return named_integrand(text, config.unit())
     except ValueError:
@@ -219,7 +225,7 @@ def parse_multifunction(text: str, config: RunConfig) -> Multifunction:
                 hi = parse_value(json.dumps(item["hi"]), config.value_space)
                 pieces.append((part, OrderInterval(lo, hi)))
             return SimpleSet(tuple(pieces))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, PiecesOverlap) as exc:
             raise SpecError(f"bad simple multifunction spec: {exc}")
     if text.startswith("interval:"):
         names = text[9:].split(",")
@@ -261,13 +267,14 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     if "regulator" in raw:
         config = replace(config,
                          regulator=parse_regulator(raw["regulator"],
-                                                   config.unit()))
+                                                   config.regulator_unit()))
     else:
-        config = replace(config, regulator=Geometric(config.unit(), 0.5, 0.5))
+        config = replace(config,
+                         regulator=Geometric(config.regulator_unit(), 0.5, 0.5))
     if "probes" in raw:
         config = replace(config, probes=parse_probes(raw["probes"]))
     for key, cast in (("seed", int), ("partition_samples", int),
-                      ("max_depth", int), ("order_slack", float)):
+                      ("max_depth", int)):
         if key in raw:
             try:
                 config = replace(config, **{key: cast(raw[key])})

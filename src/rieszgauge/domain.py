@@ -20,6 +20,10 @@ from .values import ORDER_SLACK, RieszValue, leq, zero_like
 
 _EPS = 1e-12
 
+#: The slope of anchored gauges; below 1, so that no fine cell can straddle
+#: an anchor it is not tagged at.
+ANCHORED_KAPPA = 0.9
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -37,9 +41,6 @@ class Interval:
 
     def contains(self, t: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= t <= self.hi + tol
-
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
 
 class BorelSet:
@@ -326,16 +327,15 @@ class Gauge:
                    tuple(sorted(mandatory_tags)), min(values))
 
     @classmethod
-    def anchored(cls, anchors, tag_radius: float, cap: float = 0.25,
-                 kappa: float = 0.9) -> "Gauge":
+    def anchored(cls, anchors, tag_radius: float, cap: float = 0.25) -> "Gauge":
         """A gauge that pins cells around each anchor (radius ``tag_radius``
-        there) and relaxes linearly with the distance from them.  With
-        ``kappa < 1`` no fine cell can straddle an anchor it is not
-        tagged at."""
+        there) and relaxes linearly, with slope :data:`ANCHORED_KAPPA`, with
+        the distance from them."""
         anchors = tuple(sorted(set(anchors)))
         radii = (tag_radius,) * len(anchors)
-        floor = kappa * tag_radius / 8.0
-        return cls(AnchoredRadius(anchors, radii, kappa, cap), anchors, floor)
+        floor = ANCHORED_KAPPA * tag_radius / 8.0
+        return cls(AnchoredRadius(anchors, radii, ANCHORED_KAPPA, cap),
+                   anchors, floor)
 
     def describe(self):
         return {"radius": self.radius.describe(),
@@ -366,9 +366,6 @@ class TaggedPartition:
 
     def cells(self):
         return tuple(cell for cell, _ in self.items)
-
-    def tags(self):
-        return tuple(tag for _, tag in self.items)
 
     def total_length(self) -> float:
         return sum(cell.length() for cell, _ in self.items)
@@ -567,12 +564,6 @@ def iter_fine_partitions(gauge: Gauge, E: BorelSet, count: int, seed,
         rng = random.Random(f"{seed}:{s}")
         budget = 10 if s % 3 == 2 else 2
         yield _random_fine_partition(gauge, E, rng, max_depth, budget)
-
-
-def sample_fine_partitions(gauge: Gauge, E: BorelSet, count: int, seed,
-                           max_depth: int = 48) -> list[TaggedPartition]:
-    """List form of :func:`iter_fine_partitions`."""
-    return list(iter_fine_partitions(gauge, E, count, seed, max_depth))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
 
-from .domain import BorelSet
-from .errors import NotDisjoint, UnboundedMultifunction
-from .values import RieszValue, SparseSeq, coordinates, leq, zero_like
+from .domain import BorelSet, MeasureSpec, measure
+from .errors import NotCertifiable, NotDisjoint, UnboundedMultifunction
+from .values import RieszValue, SparseSeq, coordinates, leq, mul, zero_like
 
 #: A tag mapped to float coordinates over a fixed key tuple (see
 #: :func:`rieszgauge.values.coordinates`).
@@ -35,6 +35,20 @@ class ScalarForm:
     def range_bound(self) -> float:
         coarse = max(abs(self.fn(t)) for t in _GRID)
         return coarse + self.lipschitz / (2 * (len(_GRID) - 1))
+
+
+def _midpoint_refined(fn, a: float, b: float) -> float:
+    """Composite midpoint estimates at three resolutions, extrapolated twice;
+    exact for polynomials up to degree five."""
+    if b - a <= 0.0:
+        return 0.0
+    sums = []
+    for n in (64, 128, 256):
+        h = (b - a) / n
+        sums.append(sum(fn(a + (i + 0.5) * h) for i in range(n)) * h)
+    r1 = (4.0 * sums[1] - sums[0]) / 3.0
+    r2 = (4.0 * sums[2] - sums[1]) / 3.0
+    return (16.0 * r2 - r1) / 15.0
 
 
 SCALAR_FORMS: dict[str, ScalarForm] = {
@@ -107,6 +121,24 @@ class PieceLookup:
         return at
 
 
+def disjoint_lookup(pieces, error: type[Exception], what: str) -> PieceLookup:
+    """The lookup over ``pieces``, which must not overlap on positive length;
+    an overlap raises ``error`` naming the pieces ``what``."""
+    for i, (a, _) in enumerate(pieces):
+        for b, _ in pieces[i + 1:]:
+            if a.intersection(b).length() > 1e-12:
+                raise error(f"{what} overlap on positive length")
+    return PieceLookup(pieces)
+
+
+def piece_boundaries(pieces) -> tuple[float, ...]:
+    """The sorted endpoints of the components of every piece."""
+    pts: set[float] = set()
+    for part, _ in pieces:
+        pts.update(part.boundary_points())
+    return tuple(sorted(pts))
+
+
 class Integrand:
     """Base class; every integrand evaluates pointwise and reports the data a
     gauge construction needs (jump locations, in-piece modulus, a bound)."""
@@ -125,6 +157,14 @@ class Integrand:
     def zero_value(self) -> RieszValue:
         """Zero of the integrand's value lattice."""
         raise NotImplementedError
+
+    def check_integrable(self) -> None:
+        """Raise NotCertifiable when the family is known not to be gauge
+        integrable; the certifying integrator asks before anything else."""
+
+    def integral(self, E: BorelSet, spec: MeasureSpec) -> RieszValue:
+        """The integral over ``E`` by the family's closed form."""
+        raise NotCertifiable(f"unsupported integrand {type(self).__name__}")
 
     def boundary_points(self) -> tuple[float, ...]:
         return ()
@@ -161,6 +201,9 @@ class ConstantIntegrand(Integrand):
     def zero_value(self):
         return zero_like(self.value)
 
+    def integral(self, E, spec):
+        return mul(self.value, measure(spec, E))
+
     def lipschitz(self):
         return 0.0
 
@@ -188,11 +231,8 @@ class SimpleIntegrand(Integrand):
     def __post_init__(self):
         if not self.pieces:
             raise ValueError("a simple integrand needs at least one piece")
-        for i, (a, _) in enumerate(self.pieces):
-            for b, _ in self.pieces[i + 1:]:
-                if a.intersection(b).length() > 1e-12:
-                    raise NotDisjoint("simple pieces overlap on positive length")
-        object.__setattr__(self, "_lookup", PieceLookup(self.pieces))
+        object.__setattr__(self, "_lookup", disjoint_lookup(
+            self.pieces, NotDisjoint, "simple pieces"))
         object.__setattr__(self, "_zero", zero_like(self.pieces[0][1]))
 
     def value_at(self, t):
@@ -206,11 +246,14 @@ class SimpleIntegrand(Integrand):
     def zero_value(self):
         return self._zero
 
+    def integral(self, E, spec):
+        total = mul(self._zero, spec.m0)
+        for part, v in self.pieces:
+            total = total + mul(v, measure(spec, part.intersection(E)))
+        return total
+
     def boundary_points(self):
-        pts: set[float] = set()
-        for part, _ in self.pieces:
-            pts.update(part.boundary_points())
-        return tuple(sorted(pts))
+        return piece_boundaries(self.pieces)
 
     def lipschitz(self):
         return 0.0
@@ -258,6 +301,11 @@ class PointwiseScalar(Integrand):
     def zero_value(self):
         return zero_like(self.direction)
 
+    def integral(self, E, spec):
+        s = self.coeff * sum(_midpoint_refined(self.form.fn, c.lo, c.hi)
+                             for c in E.components)
+        return mul(self.direction, spec.m0).scale(s)
+
     def lipschitz(self):
         return abs(self.coeff) * self.form.lipschitz * self.direction.sup_norm()
 
@@ -288,16 +336,12 @@ class SelectionIntegrand(Integrand):
         for part, lam in self.mix:
             if not 0.0 <= lam <= 1.0:
                 raise ValueError(f"mix value {lam} outside [0, 1]")
-        for i, (a, _) in enumerate(self.mix):
-            for b, _ in self.mix[i + 1:]:
-                if a.intersection(b).length() > 1e-12:
-                    raise NotDisjoint("mix pieces overlap on positive length")
+        lookup = disjoint_lookup(self.mix, NotDisjoint, "mix pieces")
+        object.__setattr__(self, "_mix_at", lookup.compile(lambda lam: lam, 0.0))
 
     def mix_at(self, t: float) -> float:
-        for part, lam in self.mix:
-            if part.contains_point(t):
-                return lam
-        return 0.0
+        """The mix value of the earliest piece holding ``t``; 0 off them."""
+        return self._mix_at(t)
 
     def value_at(self, t):
         lam = self.mix_at(t)
@@ -307,10 +351,25 @@ class SelectionIntegrand(Integrand):
     def zero_value(self):
         return self.lower.zero_value()
 
+    def integral(self, E, spec):
+        """The mix splits ``E`` by its pieces, and each end integrates over
+        each part by its own closed form."""
+        total = mul(self.zero_value(), spec.m0)
+        rest = E
+        for part, lam in self.mix:
+            sub = part.intersection(E)
+            rest = rest.difference(part)
+            if sub.is_empty():
+                continue
+            total = total + self.lower.integral(sub, spec).scale(1.0 - lam)
+            total = total + self.upper.integral(sub, spec).scale(lam)
+        if not rest.is_empty():
+            total = total + self.lower.integral(rest, spec)
+        return total
+
     def boundary_points(self):
         pts = set(self.lower.boundary_points()) | set(self.upper.boundary_points())
-        for part, _ in self.mix:
-            pts.update(part.boundary_points())
+        pts.update(piece_boundaries(self.mix))
         return tuple(sorted(pts))
 
     def lipschitz(self):
@@ -348,6 +407,14 @@ class CounterexampleC00(Integrand):
 
     def zero_value(self):
         return SparseSeq()
+
+    def check_integrable(self):
+        raise NotCertifiable(
+            "the unit-sequence spike function is not gauge integrable; "
+            "its fine Riemann sums have unbounded support")
+
+    def integral(self, E, spec):
+        self.check_integrable()
 
     def lipschitz(self):
         return None

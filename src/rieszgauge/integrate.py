@@ -10,14 +10,14 @@ partitions is sampled, never enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .domain import (BorelSet, Gauge, Interval, MeasureSpec, TaggedPartition,
-                     cousin_partition, is_fine, iter_fine_partitions, measure,
+                     cousin_partition, is_fine, iter_fine_partitions,
                      overlap_length)
 from .errors import (EmptyProbeSet, GaugeConstructionFailed, NotCertifiable,
                      NotDisjoint)
-from .integrands import (ConstantIntegrand, CounterexampleC00, Integrand,
-                         PointwiseScalar, SelectionIntegrand, SimpleIntegrand)
+from .integrands import CounterexampleC00, Integrand
 from .regulators import IndexMap, Regulator, envelope, min_envelope
 from .values import (ORDER_SLACK, RieszValue, Scalar, SparseSeq, Vector,
                      coordinate_min_over_support, coordinates,
@@ -33,7 +33,7 @@ def as_borel(E) -> BorelSet:
 
 
 # ---------------------------------------------------------------------------
-# Riemann sums and exact values
+# Riemann sums
 # ---------------------------------------------------------------------------
 
 def riemann_sum(f: Integrand, part: TaggedPartition, spec: MeasureSpec) -> RieszValue:
@@ -101,54 +101,6 @@ def weighted_sums(compile_at, zero: RieszValue, part: TaggedPartition,
     n = len(keys)
     return [from_coordinates(like, keys, sums[j * n:(j + 1) * n])
             for j in range(copies)]
-
-
-def _midpoint_refined(fn, a: float, b: float) -> float:
-    """Composite midpoint estimates at three resolutions, extrapolated twice;
-    exact for polynomials up to degree five."""
-    if b - a <= 0.0:
-        return 0.0
-    sums = []
-    for n in (64, 128, 256):
-        h = (b - a) / n
-        sums.append(sum(fn(a + (i + 0.5) * h) for i in range(n)) * h)
-    r1 = (4.0 * sums[1] - sums[0]) / 3.0
-    r2 = (4.0 * sums[2] - sums[1]) / 3.0
-    return (16.0 * r2 - r1) / 15.0
-
-
-def integral_value(f: Integrand, E: BorelSet, spec: MeasureSpec) -> RieszValue:
-    """The integral value by the direct route: exact arithmetic for constant
-    and simple integrands, refined midpoint sums for scalar formulas, and
-    linear decomposition for selection mixes."""
-    if isinstance(f, CounterexampleC00):
-        raise NotCertifiable(
-            "the unit-sequence spike function is not gauge integrable on [0, 1]")
-    if isinstance(f, ConstantIntegrand):
-        return mul(f.value, measure(spec, E))
-    if isinstance(f, SimpleIntegrand):
-        total = mul(f.zero_value(), spec.m0)
-        for part, v in f.pieces:
-            total = total + mul(v, measure(spec, part.intersection(E)))
-        return total
-    if isinstance(f, PointwiseScalar):
-        s = f.coeff * sum(_midpoint_refined(f.form.fn, c.lo, c.hi)
-                          for c in E.components)
-        return mul(f.direction, spec.m0).scale(s)
-    if isinstance(f, SelectionIntegrand):
-        total = mul(f.zero_value(), spec.m0)
-        rest = E
-        for part, lam in f.mix:
-            sub = part.intersection(E)
-            rest = rest.difference(part)
-            if sub.is_empty():
-                continue
-            total = total + integral_value(f.lower, sub, spec).scale(1.0 - lam)
-            total = total + integral_value(f.upper, sub, spec).scale(lam)
-        if not rest.is_empty():
-            total = total + integral_value(f.lower, rest, spec)
-        return total
-    raise NotCertifiable(f"unsupported integrand {type(f).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +171,8 @@ class IntegralCertificate:
 
 
 def kh_integrate(f: Integrand, E, spec: MeasureSpec, reg: Regulator, probes,
-                 *, samples: int = 32, seed="kh", max_depth: int = 48,
-                 gauge_builder=None) -> IntegralCertificate:
+                 *, samples: int = 32, seed="kh",
+                 max_depth: int = 48) -> IntegralCertificate:
     """Integrate ``f`` over ``E`` and certify the value against ``reg``.
 
     For every probe a gauge is constructed from the integrand's declared
@@ -228,19 +180,17 @@ def kh_integrate(f: Integrand, E, spec: MeasureSpec, reg: Regulator, probes,
     refinements of the tightest gauge, which are fine for every reported
     gauge) must all keep their Riemann sums within the probe envelope.
     """
-    if isinstance(f, CounterexampleC00):
-        raise NotCertifiable(
-            "the unit-sequence spike function is not gauge integrable; "
-            "its fine Riemann sums have unbounded support")
+    f.check_integrable()
     probes = tuple(probes)
     if not probes:
         raise EmptyProbeSet("no probes given")
     E = as_borel(E)
-    builder = gauge_builder or certification_gauge
-    value = integral_value(f, E, spec)
-    env_meet = min_envelope(reg, probes)
-    gauges = {p: builder(f, E, spec, envelope(reg, p)) for p in probes}
-    tightest = builder(f, E, spec, env_meet)
+    value = f.integral(E, spec)
+    envs = [envelope(reg, p) for p in probes]
+    gauges = {p: certification_gauge(f, E, spec, env)
+              for p, env in zip(probes, envs)}
+    tightest = certification_gauge(f, E, spec,
+                                   reduce(lambda a, b: a.meet(b), envs))
     worst = zero_like(value)
     count = 0
     if not E.is_empty():

@@ -130,6 +130,11 @@ class Regulator:
     def describe(self) -> dict:
         raise NotImplementedError
 
+    def envelope(self, phi: IndexMap) -> RieszValue:
+        """The envelope ``sup_i a[i][phi(i)]`` (see :func:`envelope`)."""
+        raise NonComputableEnvelope(
+            f"unsupported regulator {type(self).__name__}")
+
 
 def _pow(base: float, exponent: int) -> float:
     # base in (0, 1]; guard huge exponents (exponential probes) against
@@ -168,6 +173,22 @@ class Geometric(Regulator):
         return {"kind": "geometric", "row_scale": self.row_scale,
                 "col_scale": self.col_scale}
 
+    def envelope(self, phi):
+        best = 0.0
+        prev_col = None
+        for i in range(1, SCAN_HORIZON + 1):
+            j = phi.eval(i)
+            if prev_col is not None and j < prev_col:
+                raise NonComputableEnvelope(
+                    "envelope scan needs a nondecreasing index map")
+            prev_col = j
+            coeff = _pow(self.row_scale, i) * _pow(self.col_scale, j)
+            if coeff > best:
+                best = coeff
+        # beyond the horizon both factors keep shrinking, so the prefix
+        # maximum is the supremum
+        return self.base.scale(best)
+
 
 @dataclass(frozen=True)
 class FiniteMatrix(Regulator):
@@ -205,6 +226,12 @@ class FiniteMatrix(Regulator):
     def describe(self):
         return {"kind": "finite_matrix", "rows": len(self.rows)}
 
+    def envelope(self, phi):
+        out = zero_like(self.rows[0][0])
+        for i in range(1, len(self.rows) + 1):
+            out = out.join(self.entry(i, phi.eval(i)))
+        return out
+
 
 @dataclass(frozen=True)
 class Scaled(Regulator):
@@ -225,6 +252,9 @@ class Scaled(Regulator):
         return {"kind": "scaled", "factor": self.factor,
                 "inner": self.inner.describe()}
 
+    def envelope(self, phi):
+        return self.inner.envelope(phi).scale(self.factor)
+
 
 @dataclass(frozen=True)
 class SumPair(Regulator):
@@ -240,6 +270,9 @@ class SumPair(Regulator):
     def describe(self):
         return {"kind": "sum", "left": self.left.describe(),
                 "right": self.right.describe()}
+
+    def envelope(self, phi):
+        return self.left.envelope(phi) + self.right.envelope(phi)
 
 
 @dataclass(frozen=True)
@@ -273,6 +306,12 @@ class FremlinCombination(Regulator):
     def describe(self):
         return {"kind": "fremlin", "members": [m.describe() for m in self.members]}
 
+    def envelope(self, phi):
+        total = self.members[0].envelope(phi)
+        for member in self.members[1:]:
+            total = total + member.envelope(phi)
+        return self.cap.meet(total)
+
 
 def zero_regulator(like: RieszValue) -> Regulator:
     """The identically-zero regulator over the lattice of ``like``."""
@@ -290,43 +329,14 @@ def regulator_entry(reg: Regulator, i: int, j: int) -> RieszValue:
 # envelopes
 # ---------------------------------------------------------------------------
 
-def envelope(reg: Regulator, phi: IndexMap, horizon: int = SCAN_HORIZON) -> RieszValue:
-    """The envelope ``sup_i a[i][phi(i)]``.
+def envelope(reg: Regulator, phi: IndexMap) -> RieszValue:
+    """The envelope ``sup_i a[i][phi(i)]``, computed by the regulator's family.
 
     Exact for geometric and finite-matrix regulators under the supported
     (nondecreasing) index maps; for sums and capped combinations the result is
     a computable upper bound that is tight for geometric leaves.
     """
-    if isinstance(reg, Geometric):
-        best = 0.0
-        prev_col = None
-        for i in range(1, horizon + 1):
-            j = phi.eval(i)
-            if prev_col is not None and j < prev_col:
-                raise NonComputableEnvelope(
-                    "envelope scan needs a nondecreasing index map")
-            prev_col = j
-            coeff = _pow(reg.row_scale, i) * _pow(reg.col_scale, j)
-            if coeff > best:
-                best = coeff
-        # beyond the horizon both factors keep shrinking, so the prefix
-        # maximum is the supremum
-        return reg.base.scale(best)
-    if isinstance(reg, FiniteMatrix):
-        out = zero_like(reg.rows[0][0])
-        for i in range(1, len(reg.rows) + 1):
-            out = out.join(reg.entry(i, phi.eval(i)))
-        return out
-    if isinstance(reg, Scaled):
-        return envelope(reg.inner, phi, horizon).scale(reg.factor)
-    if isinstance(reg, SumPair):
-        return envelope(reg.left, phi, horizon) + envelope(reg.right, phi, horizon)
-    if isinstance(reg, FremlinCombination):
-        total = envelope(reg.members[0], phi, horizon)
-        for member in reg.members[1:]:
-            total = total + envelope(member, phi, horizon)
-        return reg.cap.meet(total)
-    raise NonComputableEnvelope(f"unsupported regulator {type(reg).__name__}")
+    return reg.envelope(phi)
 
 
 def min_envelope(reg: Regulator, probes) -> RieszValue:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .aumann import ComparisonReport
-from .domain import BorelSet, TaggedPartition
+from .domain import BorelSet
 from .integrate import CounterexampleReport, IntegralCertificate
 from .setvalued import OrderInterval
 from .values import RieszValue, Scalar, SparseSeq, Vector
@@ -27,27 +27,8 @@ def value_to_json(v: RieszValue) -> dict:
     raise TypeError(f"not a lattice value: {v!r}")
 
 
-def value_from_json(data: dict) -> RieszValue:
-    kind = data["kind"]
-    if kind == "scalar":
-        return Scalar(data["value"])
-    if kind == "vector":
-        return Vector(data["values"])
-    if kind == "c00":
-        return SparseSeq({int(k): x for k, x in data["entries"].items()})
-    raise ValueError(f"unknown value kind {kind!r}")
-
-
 def interval_to_json(C: OrderInterval) -> dict:
     return {"lo": value_to_json(C.lo), "hi": value_to_json(C.hi)}
-
-
-def borel_to_json(E: BorelSet) -> list:
-    return E.to_pairs()
-
-
-def partition_to_json(part: TaggedPartition) -> list:
-    return part.to_triples()
 
 
 def certificate_to_json(cert: IntegralCertificate) -> dict:
@@ -72,7 +53,7 @@ def phi_to_json(oracle: OrderInterval, E: BorelSet, description: str,
     out = {
         "report": "phi",
         "multifunction": description,
-        "set": borel_to_json(E),
+        "set": E.to_pairs(),
         "oracle": interval_to_json(oracle),
     }
     if member is not None:

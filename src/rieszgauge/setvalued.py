@@ -17,17 +17,20 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .domain import (BorelSet, Gauge, MeasureSpec, TaggedPartition,
-                     iter_fine_partitions, measure)
+                     iter_fine_partitions)
 from .errors import (EmptyFamily, EmptyProbeSet, NegativeScaleUnsupported,
                      PiecesOverlap, UnboundedMultifunction, ZeroNotInValues)
 from .integrands import (_GRID, ConstantIntegrand, CoordinateMap, Integrand,
-                         PieceLookup, SimpleIntegrand)
+                         SimpleIntegrand, disjoint_lookup, piece_boundaries)
 from .integrate import as_borel, kh_integrate, weighted_sums
 from .regulators import Regulator, Scaled, SumPair, envelope, max_envelope
 from .values import (ORDER_SLACK, RieszValue, SparseSeq, clamp, coordinates,
                      leq, mul, ones_like, zero_like)
 
 _ORDER_MESSAGE = "an order interval needs lo <= hi"
+
+#: The finest gauge-halving level a membership search may reach.
+MAX_LEVEL = 20
 
 
 @dataclass(frozen=True)
@@ -45,17 +48,8 @@ class OrderInterval:
     def singleton(cls, v: RieszValue) -> "OrderInterval":
         return cls(v, v)
 
-    def is_singleton(self) -> bool:
-        return (self.hi - self.lo).is_zero()
-
     def contains_value(self, z: RieszValue, slack: float = 0.0) -> bool:
         return leq(self.lo, z, slack) and leq(z, self.hi, slack)
-
-    def midpoint(self) -> RieszValue:
-        return (self.lo + self.hi).scale(0.5)
-
-    def width(self) -> RieszValue:
-        return self.hi - self.lo
 
     def coordinates(self, like: RieszValue, keys) -> tuple[float, ...]:
         """The floats of ``lo`` over ``keys`` followed by those of ``hi``."""
@@ -97,6 +91,11 @@ def set_scale(C: OrderInterval, m: RieszValue) -> OrderInterval:
 
 class Multifunction:
     """Base class: a map from [0, 1] into order intervals."""
+
+    #: Whether the end integrands integrate in closed form, so that the
+    #: integral's interval is their exact integrals (see
+    #: :func:`endpoint_integrals`) rather than certified ones.
+    exact_ends = False
 
     def value_at(self, t: float) -> OrderInterval:
         raise NotImplementedError
@@ -140,6 +139,7 @@ class Multifunction:
 @dataclass(frozen=True)
 class ConstantSet(Multifunction):
     value: OrderInterval
+    exact_ends = True
 
     def value_at(self, t):
         return self.value
@@ -175,16 +175,13 @@ class SimpleSet(Multifunction):
     """Value ``C_k`` on the set ``E_k`` and the zero singleton elsewhere."""
 
     pieces: tuple[tuple[BorelSet, OrderInterval], ...]
+    exact_ends = True
 
     def __post_init__(self):
         if not self.pieces:
             raise ValueError("a simple multifunction needs at least one piece")
-        for i, (a, _) in enumerate(self.pieces):
-            for b, _ in self.pieces[i + 1:]:
-                if a.intersection(b).length() > 1e-12:
-                    raise PiecesOverlap(
-                        "simple multifunction pieces overlap on positive length")
-        object.__setattr__(self, "_lookup", PieceLookup(self.pieces))
+        object.__setattr__(self, "_lookup", disjoint_lookup(
+            self.pieces, PiecesOverlap, "simple multifunction pieces"))
 
     def value_at(self, t):
         C = self._lookup.get(t)
@@ -196,10 +193,7 @@ class SimpleSet(Multifunction):
             coordinates(self.zero_value(), like, keys) * 2)
 
     def boundary_points(self):
-        pts: set[float] = set()
-        for part, _ in self.pieces:
-            pts.update(part.boundary_points())
-        return tuple(sorted(pts))
+        return piece_boundaries(self.pieces)
 
     def bound(self):
         out = zero_like(self.pieces[0][1].lo)
@@ -347,7 +341,7 @@ def _membership_gauge(F: Multifunction, E: BorelSet, level: int) -> Gauge:
 
 
 def _level_schedule(F: Multifunction, E: BorelSet, spec: MeasureSpec,
-                    env: RieszValue, max_level: int) -> list[int]:
+                    env: RieszValue) -> list[int]:
     """Gauge-halving levels to search: a few coarse ones plus the level at
     which the set-sum wobble provably drops below the envelope.
 
@@ -367,7 +361,7 @@ def _level_schedule(F: Multifunction, E: BorelSet, spec: MeasureSpec,
     if variation <= 0.0:
         return [0, 2]
     # constant-radius gauges cost 2**level cells; anchored ones stay cheap
-    cap = max_level if (lam == 0.0 and nb > 0) else min(13, max_level)
+    cap = MAX_LEVEL if (lam == 0.0 and nb > 0) else 13
     if env_min <= 0.0 or not math.isfinite(env_min):
         pred = cap
     else:
@@ -408,7 +402,7 @@ def _gauge_search(z, F, E, spec, env, schedule, samples, seed,
 
 def phi_membership(z: RieszValue, F: Multifunction, E, spec: MeasureSpec,
                    reg: Regulator, probes, *, partition_samples: int = 32,
-                   seed="phi", max_depth: int = 48, max_level: int = 20) -> bool:
+                   seed="phi", max_depth: int = 48) -> bool:
     """Membership in the set-valued integral: for every probe there must be a
     gauge (searched over a halving family pinned at the piece boundaries)
     under which every sampled fine partition's set-sum comes within the probe
@@ -426,7 +420,7 @@ def phi_membership(z: RieszValue, F: Multifunction, E, spec: MeasureSpec,
     envs = [envelope(reg, phi) for phi in probes]
     env_meet = reduce(lambda a, b: a.meet(b), envs)
     if _gauge_search(z, F, E, spec, env_meet,
-                     _level_schedule(F, E, spec, env_meet, max_level),
+                     _level_schedule(F, E, spec, env_meet),
                      partition_samples, seed, max_depth):
         return True
     for env in sorted(envs, key=lambda e: e.sup_norm()):
@@ -434,28 +428,31 @@ def phi_membership(z: RieszValue, F: Multifunction, E, spec: MeasureSpec,
             # the meet search above already exhausted exactly these radii
             return False
         if not _gauge_search(z, F, E, spec, env,
-                             _level_schedule(F, E, spec, env, max_level),
+                             _level_schedule(F, E, spec, env),
                              partition_samples, seed, max_depth):
             return False
     return True
 
 
+def endpoint_integrals(F: Multifunction, E: BorelSet,
+                       spec: MeasureSpec) -> OrderInterval:
+    """The interval between the closed-form integrals of the end integrands
+    over ``E``; for a simple multifunction this is the endpoint-sum formula,
+    the dot-sum of its value intervals scaled by the measure of each piece
+    inside ``E``."""
+    return OrderInterval(F.lower_integrand().integral(E, spec),
+                         F.upper_integrand().integral(E, spec))
+
+
 def phi_interval_oracle(F: Multifunction, E, spec: MeasureSpec,
                         reg: Regulator, probes, *, partition_samples: int = 32,
-                        seed="oracle", max_depth: int = 48,
-                        max_level: int = 20) -> OrderInterval:
+                        seed="oracle", max_depth: int = 48) -> OrderInterval:
     """A computable outer description of the set-valued integral: exact
-    endpoint arithmetic for constant and simple multifunctions, certified
-    endpoint integrals for interval-valued ones."""
+    endpoint integrals for families with closed-form ends (constant and
+    simple multifunctions), certified endpoint integrals for the others."""
     E = as_borel(E)
-    if isinstance(F, ConstantSet):
-        return set_scale(F.value, measure(spec, E))
-    if isinstance(F, SimpleSet):
-        zero = OrderInterval.singleton(mul(F.zero_value(), spec.m0))
-        parts = [zero]
-        parts.extend(set_scale(C, measure(spec, S.intersection(E)))
-                     for S, C in F.pieces)
-        return dot_sum(parts)
+    if F.exact_ends:
+        return endpoint_integrals(F, E, spec)
     lo = kh_integrate(F.lower_integrand(), E, spec, reg, probes,
                       samples=partition_samples, seed=f"{seed}:lo",
                       max_depth=max_depth).value

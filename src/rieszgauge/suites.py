@@ -154,7 +154,7 @@ def _rand_geometric(rng, config: RunConfig) -> Geometric:
 # lattice suite
 # ---------------------------------------------------------------------------
 
-def suite_lattice(config: RunConfig, fremlin_families: int = 5) -> SuiteResult:
+def suite_lattice(config: RunConfig) -> SuiteResult:
     out = SuiteResult("lattice")
     probes = config.probes
 
@@ -246,7 +246,8 @@ def suite_lattice(config: RunConfig, fremlin_families: int = 5) -> SuiteResult:
     rng = _rng(config, "fremlin")
     ok = True
     worst = 0.0
-    for _ in range(fremlin_families):
+    trials = 5
+    for _ in range(trials):
         members = tuple(_rand_geometric(rng, config)
                         for _ in range(rng.randint(1, 5)))
         u = abs(_rand_value(rng, config, 0.5, 12.0))
@@ -263,7 +264,7 @@ def suite_lattice(config: RunConfig, fremlin_families: int = 5) -> SuiteResult:
                 lhs = u.meet(partial)
                 ok &= leq(lhs, rhs, ORDER_SLACK)
                 worst = max(worst, max_coordinate(lhs - rhs) - ORDER_SLACK)
-    out.add("fremlin_combination_dominates", fremlin_families, ok, worst)
+    out.add("fremlin_combination_dominates", trials, ok, worst)
 
     rng = _rng(config, "d_limit")
     ok = True
@@ -396,7 +397,7 @@ def suite_measure(config: RunConfig) -> SuiteResult:
 # integral suite
 # ---------------------------------------------------------------------------
 
-def suite_integral(config: RunConfig, simple_trials: int = 30) -> SuiteResult:
+def suite_integral(config: RunConfig) -> SuiteResult:
     out = SuiteResult("integral")
     spec = config.measure_spec()
     reg = config.regulator
@@ -413,7 +414,8 @@ def suite_integral(config: RunConfig, simple_trials: int = 30) -> SuiteResult:
     rng = _rng(config, "simple_exact")
     ok = True
     worst = 0.0
-    for t in range(simple_trials):
+    trials = 30
+    for t in range(trials):
         f = _rand_simple_integrand(rng, config)
         expected = mul(f.zero_value(), spec.m0)
         for part, v in f.pieces:
@@ -423,7 +425,7 @@ def suite_integral(config: RunConfig, simple_trials: int = 30) -> SuiteResult:
         drift = (got - expected).sup_norm()
         worst = max(worst, drift - 1e-12)
         ok &= drift <= 1e-12
-    out.add("simple_integrand_exact", simple_trials, ok, worst)
+    out.add("simple_integrand_exact", trials, ok, worst)
 
     rng = _rng(config, "addlin")
     ok = True
@@ -491,8 +493,7 @@ def _builtin_interval_multifunctions(config: RunConfig):
     return ramp_band, symmetric_ramp
 
 
-def suite_setvalued(config: RunConfig, costante_trials: int = 15,
-                    monotone_trials: int = 20) -> SuiteResult:
+def suite_setvalued(config: RunConfig) -> SuiteResult:
     out = SuiteResult("setvalued")
     spec = config.measure_spec()
     reg = config.regulator
@@ -556,7 +557,8 @@ def suite_setvalued(config: RunConfig, costante_trials: int = 15,
     worst = 0.0
     env_min = min_envelope(reg, probes)
     unit = config.unit()
-    for t in range(costante_trials):
+    trials = 15
+    for t in range(trials):
         C = _rand_interval(rng, config)
         F = ConstantSet(C)
         region = _rand_borel(rng)
@@ -572,7 +574,7 @@ def suite_setvalued(config: RunConfig, costante_trials: int = 15,
         far = env_min.scale(2.0) + unit.scale(1e-9)
         ok &= not member(oracle.hi + far, F, region, f"co:{t}:hi")
         ok &= not member(oracle.lo - far, F, region, f"co:{t}:lo")
-    out.add("constant_oracle_and_membership", costante_trials, ok, worst)
+    out.add("constant_oracle_and_membership", trials, ok, worst)
 
     ramp_band, symmetric_ramp = _builtin_interval_multifunctions(config)
     rng = _rng(config, "structure")
@@ -593,7 +595,8 @@ def suite_setvalued(config: RunConfig, costante_trials: int = 15,
 
     rng = _rng(config, "monotone")
     ok = True
-    for t in range(monotone_trials):
+    trials = 20
+    for t in range(trials):
         if rng.random() < 0.5:
             F = ConstantSet(_rand_interval(rng, config, centered=True))
         else:
@@ -602,7 +605,7 @@ def suite_setvalued(config: RunConfig, costante_trials: int = 15,
         a_set = b_set.intersection(_rand_borel(rng))
         ok &= phi_monotonicity_check(F, a_set, b_set, spec, reg, probes,
                                      seed=f"{config.seed}:mn:{t}", **kw)
-    out.add("phi_monotone_in_set", monotone_trials, ok)
+    out.add("phi_monotone_in_set", trials, ok)
 
     ok = True
     worst = 0.0
@@ -636,7 +639,7 @@ def suite_setvalued(config: RunConfig, costante_trials: int = 15,
 # aumann suite
 # ---------------------------------------------------------------------------
 
-def suite_aumann(config: RunConfig, comparison_trials: int = 10) -> SuiteResult:
+def suite_aumann(config: RunConfig) -> SuiteResult:
     out = SuiteResult("aumann")
     spec = config.measure_spec()
     reg = config.regulator
@@ -707,14 +710,15 @@ def suite_aumann(config: RunConfig, comparison_trials: int = 10) -> SuiteResult:
     rng = _rng(config, "comparison")
     ok = True
     worst = 0.0
-    for t in range(comparison_trials):
+    trials = 10
+    for t in range(trials):
         F = _rand_simple_set(rng, config, 5)
         region = _rand_borel(rng)
         rep = comparison_simple(F, region, spec, reg, probes,
                                 seed=f"{config.seed}:cmp:{t}", **kw)
         ok &= rep.passed
         worst = max(worst, rep.max_discrepancy)
-    out.add("simple_comparison_three_way", comparison_trials, ok, worst)
+    out.add("simple_comparison_three_way", trials, ok, worst)
 
     rng = _rng(config, "empty_overlap")
     ok = True
@@ -744,9 +748,9 @@ def suite_aumann(config: RunConfig, comparison_trials: int = 10) -> SuiteResult:
 # counterexample suite
 # ---------------------------------------------------------------------------
 
-def suite_counterexample(config: RunConfig, n_max: int = 20) -> SuiteResult:
+def suite_counterexample(config: RunConfig) -> SuiteResult:
     out = SuiteResult("counterexample")
-    report = counterexample_unboundedness(n_max, max_depth=config.max_depth)
+    report = counterexample_unboundedness(20, max_depth=config.max_depth)
     ok_fine = all(e.fine for e in report.entries)
     ok_dom = all(e.dominated and e.lambda_n > 0.0 for e in report.entries)
     ok_support = all(e.support == tuple(range(2, e.n + 1))

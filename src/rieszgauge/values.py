@@ -303,30 +303,6 @@ def leq(a: RieszValue, b: RieszValue, slack: float = 0.0) -> bool:
     return a.leq(b, slack)
 
 
-def lattice_op(kind: str, a: RieszValue, b: RieszValue | None = None, *,
-               factor: float | None = None) -> RieszValue:
-    """Named dispatch over the lattice/vector operations.
-
-    ``kind`` is one of ``join``, ``meet``, ``add``, ``sub``, ``abs``,
-    ``scale`` (which uses ``factor``).
-    """
-    if kind == "join":
-        return a.join(b)
-    if kind == "meet":
-        return a.meet(b)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "abs":
-        return abs(a)
-    if kind == "scale":
-        if factor is None:
-            raise ValueError("scale needs a factor")
-        return a.scale(factor)
-    raise ValueError(f"unknown lattice operation {kind!r}")
-
-
 def coordinates(v: RieszValue, like: RieszValue, keys) -> tuple[float, ...]:
     """The floats of ``v`` over ``keys`` in the lattice of ``like``: vector
     indices, or sequence indices that read 0 off the support.  A scalar

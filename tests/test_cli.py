@@ -71,6 +71,34 @@ def test_integrate_bad_simple_bounds_exit_1():
         assert len(lines) == 1 and "bad bounds in simple piece" in lines[0]
 
 
+def test_overlapping_pieces_are_spec_errors():
+    overlapping_set = ('simple:[{"set": [[0, 0.6]], "lo": 0, "hi": 1},'
+                       ' {"set": [[0.5, 1]], "lo": 2, "hi": 3}]')
+    for args, message in (
+            (("integrate", "--f", "simple:0,0.6,1;0.5,1,2"),
+             "error: bad simple integrand spec: simple pieces overlap on "
+             "positive length"),
+            (("phi", "--F", overlapping_set),
+             "error: bad simple multifunction spec: simple multifunction "
+             "pieces overlap on positive length")):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [message]
+
+
+def test_c00_regulator_covers_the_support_of_m0(tmp_path):
+    # the default regulator's base has ones on index 2 as well, where the
+    # measure charges the integrand, so the jump can be certified
+    ini = tmp_path / "run.ini"
+    ini.write_text('[space]\nvalue_space = c00\nm0 = {"1": 1, "2": 2}\n')
+    proc = run_cli("--config", str(ini), "integrate",
+                   "--f", 'simple:0,0.5,{"2": 1}')
+    assert proc.returncode == 0
+    payload = validated(proc.stdout)
+    assert payload["value"] == {"kind": "c00", "entries": {"2": 1.0}}
+
+
 def test_parse_value_rejects_non_finite_coordinates():
     for text, space in (("NaN", "scalar"), ("[1, NaN]", "vector:2"),
                         ("[Infinity, 0]", "vector:2"),

@@ -241,11 +241,22 @@ def test_piece_lookup_matches_scan(cut_lists, extra):
                  for i in range(0, len(cuts) - 1, 2)] or [[cuts[0] / 16] * 2]
         pieces.append((BorelSet.from_pairs(pairs), k))
     lookup = PieceLookup(pieces)
+    # a selection's mix takes the pieces that overlap no earlier one, and
+    # its lookup must agree with the scan for the earliest piece holding t
+    mix = []
+    for part, k in pieces:
+        if all(part.intersection(other).length() == 0.0 for other, _ in mix):
+            mix.append((part, (k + 1) / 8))
+    mix_at = SelectionIntegrand(ConstantIntegrand(Scalar(0.0)),
+                                ConstantIntegrand(Scalar(1.0)),
+                                tuple(mix)).mix_at
     ends = sorted({x for part, _ in pieces for c in part.components
                    for x in (c.lo, c.hi)})
     probes = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])] + extra
     for t in probes + [math.nextafter(t, 2.0) for t in ends]:
         assert lookup.get(t) == reference_lookup(pieces, t)
+        assert mix_at(t) == next(
+            (lam for part, lam in mix if part.contains_point(t)), 0.0)
 
 
 # ---------------------------------------------------------------------------
