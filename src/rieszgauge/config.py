@@ -244,7 +244,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     """Build a RunConfig from an optional INI file plus flag overrides."""
     raw: dict[str, str] = {}
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
         read = parser.read(path)
         if not read:
             raise SpecError(f"config file {path!r} not found")

@@ -9,6 +9,7 @@ measures are ``length * m0`` for a fixed nonnegative generator ``m0``.
 from __future__ import annotations
 
 import bisect as _bisect
+import math
 import random
 from dataclasses import dataclass, field
 from functools import reduce
@@ -193,6 +194,10 @@ class ConstantRadius:
         value = self.value
         return lambda t: value
 
+    def on_gap(self, lo: float, hi: float) -> float:
+        """The radius on [lo, hi], as the float it is everywhere."""
+        return self.value
+
     def describe(self):
         return {"kind": "constant", "radius": self.value}
 
@@ -225,6 +230,10 @@ class PiecewiseRadius:
             k = bisect_right(breaks, t) - 1
             return values[min(max(k, 0), last)]
         return at
+
+    def on_gap(self, lo: float, hi: float) -> None:
+        """None: on [lo, hi] the gauge's compiled radius serves."""
+        return None
 
     def describe(self):
         return {"kind": "piecewise", "breaks": list(self.breaks),
@@ -288,6 +297,28 @@ class AnchoredRadius:
             return r if r < cap else cap
         return at
 
+    def on_gap(self, lo: float, hi: float) -> Callable[[float], float] | None:
+        """:meth:`compile` on [lo, hi], which holds no anchor: the nearest
+        anchors are the same at every point there, so the closure fixes them
+        and returns the same float without a search (a missing neighbour is
+        an infinite one, which never wins).  None when an anchor lies in
+        [lo, hi]."""
+        anchors = self.anchors
+        i = _bisect.bisect_left(anchors, lo)
+        if i < len(anchors) and anchors[i] <= hi:
+            return None
+        left = anchors[i - 1] if i else -math.inf
+        right = anchors[i] if i < len(anchors) else math.inf
+        kappa, cap = self.kappa, self.cap
+
+        def at(t):
+            best = right - t
+            if t - left < best:
+                best = t - left
+            r = kappa * best
+            return r if r < cap else cap
+        return at
+
     def describe(self):
         return {"kind": "anchored", "anchors": list(self.anchors),
                 "anchor_radii": list(self.anchor_radii),
@@ -310,6 +341,11 @@ class Gauge:
     def __post_init__(self):
         if self.floor_on_remainder <= 0.0:
             raise ValueError("the remainder floor must be positive")
+        if self.floor_on_remainder <= _EPS:
+            raise EnvelopeTooSmall(
+                f"gauge floor {self.floor_on_remainder:g} is below float "
+                f"resolution: partition cells narrower than {_EPS:g} "
+                "cannot be cut")
         object.__setattr__(self, "gamma", self.radius.compile())
         for p in self.mandatory_tags:
             if not 0.0 <= p <= 1.0:
@@ -337,6 +373,13 @@ class Gauge:
         return cls(AnchoredRadius(anchors, radii, ANCHORED_KAPPA, cap),
                    anchors, floor)
 
+    def on_gap(self, lo: float, hi: float):
+        """The radius on [lo, hi], a stretch free of mandatory tags: a float
+        where it is constant, so that it costs no call, otherwise a function
+        of the point that returns what :attr:`gamma` returns there."""
+        radius = self.radius.on_gap(lo, hi)
+        return self.gamma if radius is None else radius
+
     def describe(self):
         return {"radius": self.radius.describe(),
                 "mandatory_tags": list(self.mandatory_tags),
@@ -347,28 +390,35 @@ class Gauge:
 # tagged partitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TaggedPartition:
-    """A finite family of (cell, tag) pairs with tags inside their cells and
-    cells overlapping at most at endpoints."""
+    """A finite family of tagged cells, held as flat ``(lo, hi, tag)`` float
+    triples in cell order.  Every construction checks ``0 <= lo <= hi <= 1``,
+    each tag inside its cell, and that cells overlap at most at endpoints."""
 
-    items: tuple[tuple[Interval, float], ...]
+    __slots__ = ("triples",)
 
-    def __post_init__(self):
-        prev_hi = None
-        for cell, tag in self.items:
-            lo, hi = cell.lo, cell.hi
-            if not lo - _EPS <= tag <= hi + _EPS:
-                raise ValueError(f"tag {tag} outside its cell [{lo}, {hi}]")
-            if prev_hi is not None and lo < prev_hi - _EPS:
-                raise ValueError("cells overlap on positive length")
-            prev_hi = hi
+    def __init__(self, items=()):
+        """The partition of ``(Interval, tag)`` pairs."""
+        self.triples = _checked(tuple((cell.lo, cell.hi, tag)
+                                      for cell, tag in items))
+
+    @classmethod
+    def from_triples(cls, triples) -> "TaggedPartition":
+        """The partition of ``(lo, hi, tag)`` triples, checked the same way."""
+        part = cls.__new__(cls)
+        part.triples = _checked(tuple(triples))
+        return part
+
+    @property
+    def items(self) -> tuple[tuple[Interval, float], ...]:
+        """The ``(Interval, tag)`` pairs, built on demand."""
+        return tuple((Interval(lo, hi), tag) for lo, hi, tag in self.triples)
 
     def cells(self):
-        return tuple(cell for cell, _ in self.items)
+        return tuple(Interval(lo, hi) for lo, hi, _ in self.triples)
 
     def total_length(self) -> float:
-        return sum(cell.length() for cell, _ in self.items)
+        return sum(hi - lo for lo, hi, _ in self.triples)
 
     def covers(self, E: BorelSet, tol: float = 1e-9) -> bool:
         """True when the cells tile ``E`` up to endpoints."""
@@ -378,27 +428,43 @@ class TaggedPartition:
                 and E.contains_set(covered, tol))
 
     def to_triples(self) -> list[list[float]]:
-        return [[cell.lo, cell.hi, tag] for cell, tag in self.items]
+        return [list(cell) for cell in self.triples]
 
     def __len__(self):
-        return len(self.items)
+        return len(self.triples)
+
+
+def _checked(triples: tuple) -> tuple:
+    """``triples``, once every cell has passed the partition's checks."""
+    prev_hi = -math.inf
+    for lo, hi, tag in triples:
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
+        if not lo - _EPS <= tag <= hi + _EPS:
+            raise ValueError(f"tag {tag} outside its cell [{lo}, {hi}]")
+        if lo < prev_hi - _EPS:
+            raise ValueError("cells overlap on positive length")
+        prev_hi = hi
+    return triples
 
 
 def is_fine(part: TaggedPartition, gauge: Gauge) -> bool:
     """Strict fineness: every cell lies inside the open ball around its tag."""
-    for cell, tag in part.items:
-        reach = max(tag - cell.lo, cell.hi - tag)
-        if not reach < gauge.gamma(tag):
+    gamma = gauge.gamma
+    for lo, hi, tag in part.triples:
+        reach = max(tag - lo, hi - tag)
+        if not reach < gamma(tag):
             return False
     return True
 
 
-def _carve_mandatory(gauge: Gauge, piece: Interval, shrink=None):
-    """Cells pinned at each mandatory tag inside ``piece``; returns the cells
-    and the leftover gaps."""
-    tags = sorted(p for p in gauge.mandatory_tags
-                  if piece.lo <= p <= piece.hi)
-    cells: list[tuple[Interval, float]] = []
+def _carve_mandatory(gauge: Gauge, lo: float, hi: float, shrink=None) -> list:
+    """The cells pinned at each mandatory tag inside [lo, hi] and the gaps
+    left between them, in order: a cell is a ``(lo, hi, tag)`` triple and a
+    gap a ``(lo, hi)`` pair.  Every cell is carved, and ``shrink`` called,
+    before the list is returned."""
+    tags = sorted(p for p in gauge.mandatory_tags if lo <= p <= hi)
+    cells = []
     for idx, p in enumerate(tags):
         h = gauge.gamma(p) / 2.0
         if idx > 0:
@@ -407,35 +473,51 @@ def _carve_mandatory(gauge: Gauge, piece: Interval, shrink=None):
             h = min(h, (tags[idx + 1] - p) / 4.0)
         if shrink is not None:
             h *= shrink(p)
-        cells.append((Interval(max(piece.lo, p - h), min(piece.hi, p + h)), p))
-    gaps = []
-    cursor = piece.lo
-    for cell, _ in cells:
-        if cell.lo - cursor > _EPS:
-            gaps.append(Interval(cursor, cell.lo))
-        cursor = cell.hi
-    if piece.hi - cursor > _EPS:
-        gaps.append(Interval(cursor, piece.hi))
-    return cells, gaps
+        cells.append((max(lo, p - h), min(hi, p + h), p))
+    pieces = []
+    cursor = lo
+    for cell in cells:
+        if cell[0] - cursor > _EPS:
+            pieces.append((cursor, cell[0]))
+        pieces.append(cell)
+        cursor = cell[1]
+    if hi - cursor > _EPS:
+        pieces.append((cursor, hi))
+    return pieces
 
 
-def _fill_canonical(gauge: Gauge, a: float, b: float, depth: int,
-                    max_depth: int, out: list):
+def _fill_canonical(radius, a: float, b: float, depth: int, max_depth: int,
+                    out: list):
     """Bisect [a, b] until each piece fits the ball of one of its midpoint,
-    right, or left endpoint (preferred in that order)."""
+    right, or left endpoint (preferred in that order).  ``radius`` is that of
+    :meth:`Gauge.on_gap`."""
     if b - a <= _EPS:
         return
+    gamma = radius if callable(radius) else None
     for tag in (0.5 * (a + b), b, a):
-        if max(tag - a, b - tag) < gauge.gamma(tag):
-            out.append((Interval(a, b), tag))
+        if max(tag - a, b - tag) < (radius if gamma is None else gamma(tag)):
+            out.append((a, b, tag))
             return
     if depth >= max_depth:
         raise DepthExceeded(
             f"no fine cell for [{a}, {b}] within depth {max_depth}; "
             "the gauge floor declaration looks wrong")
     mid = 0.5 * (a + b)
-    _fill_canonical(gauge, a, mid, depth + 1, max_depth, out)
-    _fill_canonical(gauge, mid, b, depth + 1, max_depth, out)
+    _fill_canonical(radius, a, mid, depth + 1, max_depth, out)
+    _fill_canonical(radius, mid, b, depth + 1, max_depth, out)
+
+
+def _cousin_cells(gauge: Gauge, lo: float, hi: float, max_depth: int,
+                  out: list):
+    """Append the canonical fine cells of [lo, hi] to ``out`` in order."""
+    if hi - lo <= 0.0:
+        out.append((lo, hi, lo))
+        return
+    for piece in _carve_mandatory(gauge, lo, hi):
+        if len(piece) == 3:
+            out.append(piece)
+        else:
+            _fill_canonical(gauge.on_gap(*piece), *piece, 0, max_depth, out)
 
 
 def cousin_partition(gauge: Gauge, E: Interval, max_depth: int = 48) -> TaggedPartition:
@@ -446,25 +528,20 @@ def cousin_partition(gauge: Gauge, E: Interval, max_depth: int = 48) -> TaggedPa
     bisected until they fit, which terminates because the gauge has a
     positive floor away from the mandatory tags.
     """
-    if E.length() <= 0.0:
-        return TaggedPartition(((E, E.lo),))
-    cells, gaps = _carve_mandatory(gauge, E)
-    out = list(cells)
-    for gap in gaps:
-        _fill_canonical(gauge, gap.lo, gap.hi, 0, max_depth, out)
-    out.sort(key=lambda item: item[0].lo)
-    return TaggedPartition(tuple(out))
+    out: list = []
+    _cousin_cells(gauge, E.lo, E.hi, max_depth, out)
+    return TaggedPartition.from_triples(out)
 
 
 def partition_borel(gauge: Gauge, E: BorelSet, max_depth: int = 48) -> TaggedPartition:
     """Concatenated fine partitions of every component of a Borel set."""
-    items: list[tuple[Interval, float]] = []
+    out: list = []
     for comp in E.components:
-        items.extend(cousin_partition(gauge, comp, max_depth).items)
-    return TaggedPartition(tuple(items))
+        _cousin_cells(gauge, comp.lo, comp.hi, max_depth, out)
+    return TaggedPartition.from_triples(out)
 
 
-def _fill_random(gamma, lo: float, hi: float, rng: random.Random,
+def _fill_random(radius, lo: float, hi: float, rng: random.Random,
                  max_depth: int, split_budget: int, out: list) -> int:
     """Append seeded random fine cells tiling [lo, hi] to ``out`` and return
     the split budget left over.
@@ -474,11 +551,14 @@ def _fill_random(gamma, lo: float, hi: float, rng: random.Random,
     budget lasts, and a piece that does not fit is cut at a length sized to
     the gauge at its friendlier endpoint.  Pieces are visited depth first,
     left piece first, and the radii already known at a piece's endpoints
-    travel down to its halves.  ``rng.uniform(x, y)`` is spelled out as the
-    ``x + (y - x) * rng.random()`` it evaluates.
+    travel down to its halves.  ``radius`` is that of :meth:`Gauge.on_gap`;
+    a constant one is known everywhere.  ``rng.uniform(x, y)`` is spelled
+    out as the ``x + (y - x) * rng.random()`` it evaluates.
     """
     draw = rng.random
-    stack = [(lo, hi, 0, None, None)]
+    gamma = radius if callable(radius) else None
+    known = radius if gamma is None else None
+    stack = [(lo, hi, 0, known, known)]
     pop, push = stack.pop, stack.append
     while stack:
         a, b, depth, ga, gb = pop()
@@ -486,13 +566,13 @@ def _fill_random(gamma, lo: float, hi: float, rng: random.Random,
         if width <= _EPS:
             continue
         tag = a + width * (0.25 + (0.75 - 0.25) * draw())
-        gt = gamma(tag)
+        gt = radius if gamma is None else gamma(tag)
         if tag - a < gt and b - tag < gt:
             accepted = tag
         else:
             tag = a + 0.5 * width
             accepted = None
-            if 0.5 * width < gamma(tag):
+            if 0.5 * width < (radius if gamma is None else gamma(tag)):
                 accepted = tag
             else:
                 if gb is None:
@@ -507,7 +587,7 @@ def _fill_random(gamma, lo: float, hi: float, rng: random.Random,
         if accepted is not None:
             if not (split_budget > 0 and depth < max_depth - 4
                     and draw() < 0.45):
-                out.append((Interval(a, b), accepted))
+                out.append((a, b, accepted))
                 continue
             split_budget -= 1
             cut = a + width * (0.35 + (0.65 - 0.35) * draw())
@@ -529,26 +609,29 @@ def _fill_random(gamma, lo: float, hi: float, rng: random.Random,
             if step > 0.7 * width:
                 step = 0.7 * width
             cut = a + step if ga >= gb else b - step
-        push((cut, b, depth + 1, None, gb))
-        push((a, cut, depth + 1, ga, None))
+        push((cut, b, depth + 1, known, gb))
+        push((a, cut, depth + 1, ga, known))
     return split_budget
 
 
 def _random_fine_partition(gauge: Gauge, E: BorelSet, rng: random.Random,
                            max_depth: int, split_budget: int) -> TaggedPartition:
-    items: list[tuple[Interval, float]] = []
+    """Each component's carved cells, with shrinks drawn before any fill,
+    and random fills of the gaps between them, in cell order."""
+    out: list = []
     for comp in E.components:
-        if comp.length() <= 0.0:
-            items.append((comp, comp.lo))
+        lo, hi = comp.lo, comp.hi
+        if hi - lo <= 0.0:
+            out.append((lo, hi, lo))
             continue
-        cells, gaps = _carve_mandatory(
-            gauge, comp, shrink=lambda p: rng.uniform(0.5, 0.999))
-        items.extend(cells)
-        for gap in gaps:
-            split_budget = _fill_random(gauge.gamma, gap.lo, gap.hi, rng,
-                                        max_depth, split_budget, items)
-    items.sort(key=lambda item: item[0].lo)
-    return TaggedPartition(tuple(items))
+        for piece in _carve_mandatory(
+                gauge, lo, hi, lambda p: rng.uniform(0.5, 0.999)):
+            if len(piece) == 3:
+                out.append(piece)
+            else:
+                split_budget = _fill_random(gauge.on_gap(*piece), *piece, rng,
+                                            max_depth, split_budget, out)
+    return TaggedPartition.from_triples(out)
 
 
 def iter_fine_partitions(gauge: Gauge, E: BorelSet, count: int, seed,

@@ -52,15 +52,15 @@ def _coordinate_sum(at, part: TaggedPartition, weights, start) -> list[float]:
     if len(start) == 1:
         # one coordinate, as in every scalar Riemann sum: no inner loop
         (acc,), (w,) = start, weights
-        for cell, tag in part.items:
-            ln = cell.hi - cell.lo
+        for lo, hi, tag in part.triples:
+            ln = hi - lo
             if ln != 0.0:
                 acc = acc + at(tag)[0] * (w * ln)
         return [acc]
     acc = list(start)
     coords = range(len(acc))
-    for cell, tag in part.items:
-        ln = cell.hi - cell.lo
+    for lo, hi, tag in part.triples:
+        ln = hi - lo
         if ln != 0.0:
             v = at(tag)
             for k in coords:
@@ -91,8 +91,8 @@ def weighted_sums(compile_at, zero: RieszValue, part: TaggedPartition,
     elif isinstance(m0, SparseSeq):
         keys = m0.support()
     else:
-        keys = tuple(sorted({k for cell, tag in part.items
-                             if cell.hi - cell.lo != 0.0
+        keys = tuple(sorted({k for lo, hi, tag in part.triples
+                             if hi - lo != 0.0
                              for v in values_at(tag)
                              for k, _ in v.nonzero_coords()}))
     sums = _coordinate_sum(compile_at(like, keys), part,

@@ -335,8 +335,19 @@ def envelope(reg: Regulator, phi: IndexMap) -> RieszValue:
     Exact for geometric and finite-matrix regulators under the supported
     (nondecreasing) index maps; for sums and capped combinations the result is
     a computable upper bound that is tight for geometric leaves.
+
+    Memoized per probe on the regulator itself: regulators are frozen and
+    lattice values immutable, so each pair is computed once.  A probe that
+    cannot be hashed is computed every time.
     """
-    return reg.envelope(phi)
+    memo = vars(reg).setdefault("_envelopes", {})
+    try:
+        env = memo.get(phi)
+    except TypeError:
+        return reg.envelope(phi)
+    if env is None:
+        env = memo[phi] = reg.envelope(phi)
+    return env
 
 
 def min_envelope(reg: Regulator, probes) -> RieszValue:

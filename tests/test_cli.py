@@ -6,7 +6,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from rieszgauge.config import SpecError, parse_value
+from rieszgauge.config import SpecError, load_config, parse_value
+from rieszgauge.values import Vector
 
 REPO = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO / "docs" / "report.schema.json").read_text())
@@ -199,6 +200,38 @@ def test_vector_space_config(tmp_path):
     assert proc.returncode == 0
     payload = validated(proc.stdout)
     assert payload["value"] == {"kind": "vector", "values": [2.0, 8.0]}
+
+
+def test_readme_config_example_loads_as_printed(tmp_path):
+    # the ini block of the README, inline comments and all
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    ini = tmp_path / "readme.ini"
+    ini.write_text(block)
+    config = load_config(str(ini))
+    assert config.value_space == "vector:2"
+    assert config.m0 == Vector([1.0, 2.0])
+    assert config.seed == 42 and config.max_depth == 48
+    proc = run_cli("--config", str(ini), "integrate", "--f", "const:[2, 4]")
+    assert proc.returncode == 0
+    assert validated(proc.stdout)["value"] == {"kind": "vector",
+                                               "values": [2.0, 8.0]}
+
+
+@pytest.mark.parametrize("args", [
+    ("integrate", "--f", "square", "--probes", "const:60"),
+    ("integrate", "--f", "simple:0,0.5,1e300"),
+])
+def test_sub_resolution_gauges_exit_2(args):
+    # gauges below float resolution used to hang (const:60) or end in a
+    # verdict on integrability (1e300); the timeout turns a hang into a
+    # failure
+    proc = run_cli(*args, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "float resolution" in proc.stderr
+    assert "KH-integrable" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_probe_override():

@@ -1,20 +1,24 @@
+import hashlib
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rieszgauge.domain import (AnchoredRadius, BorelSet, Gauge, Interval,
-                               MeasureSpec, TaggedPartition, cousin_partition,
-                               is_fine, iter_fine_partitions, measure,
-                               partition_borel, regularity_witness,
+from rieszgauge.domain import (ANCHORED_KAPPA, AnchoredRadius, BorelSet,
+                               Gauge, Interval, MeasureSpec, TaggedPartition,
+                               cousin_partition, is_fine, iter_fine_partitions,
+                               measure, partition_borel, regularity_witness,
                                sigma_additivity_check)
 from rieszgauge.errors import (DepthExceeded, EnvelopeTooSmall, NotDisjoint)
 from rieszgauge.regulators import ConstantMap, Geometric, envelope
 from rieszgauge.values import Scalar, Vector, leq, zero_like
 
 SPEC = MeasureSpec(Scalar(1.0))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_borel_normalization_is_canonical():
@@ -113,11 +117,58 @@ def test_random_perturbations_stay_fine():
 def test_random_perturbations_are_pinned():
     # the golden cells pin the order of the sampler's random draws: any
     # reordering moves them, even when every partition stays fine
-    golden = Path(__file__).parent / "golden" / "perturb_anchored_partitions.json"
+    golden = GOLDEN / "perturb_anchored_partitions.json"
     gauge = Gauge.anchored([0.25, 0.75], 0.01)
     got = [part.to_triples() for part in
            iter_fine_partitions(gauge, BorelSet.whole(), 4, seed="perturb")]
     assert got == json.loads(golden.read_text())
+
+
+def _sampled_partition_cases():
+    """Gauges of every radius kind against sets of 1..4 components on the
+    1/128 grid: constant radii, piecewise radii with a mandatory tag, and
+    anchored radii with 1..10 anchors, some on the grid where they touch
+    component ends and carved cells."""
+    rng = random.Random("sampled-partitions")
+    for trial in range(300):
+        n = 1 + trial % 4
+        pts = sorted(rng.randrange(129) / 128.0 for _ in range(2 * n))
+        E = BorelSet.from_pairs(zip(pts[0::2], pts[1::2]))
+        kind = trial % 3
+        if kind == 0:
+            radius = (0.3, 0.05, 1.0 / 256.0, 1e-3)[trial // 3 % 4]
+            gauge = Gauge.constant(radius)
+        elif kind == 1:
+            b = rng.randrange(1, 128) / 128.0
+            values = (rng.uniform(0.01, 0.1), rng.uniform(0.01, 0.1))
+            gauge = Gauge.piecewise(
+                (0.0, b, 1.0), values,
+                mandatory_tags=[rng.choice((b, rng.random(), pts[0]))])
+        else:
+            k = 1 + trial // 3 % 10
+            anchors = [rng.randrange(129) / 128.0 if rng.random() < 0.5
+                       else rng.random() for _ in range(k)]
+            gauge = Gauge.anchored(anchors, (1e-3, 1e-5, 1e-7)[trial // 3 % 3],
+                                   cap=(0.25, 0.01)[trial // 6 % 2])
+        yield gauge, E, f"sampled:{trial}"
+
+
+def _sampled_partitions_digest() -> dict:
+    h = hashlib.sha256()
+    partitions = cells = 0
+    for gauge, E, seed in _sampled_partition_cases():
+        for part in iter_fine_partitions(gauge, E, 8, seed):
+            h.update(json.dumps(part.to_triples()).encode() + b"\n")
+            partitions += 1
+            cells += len(part)
+    return {"sha256": h.hexdigest(), "partitions": partitions, "cells": cells}
+
+
+def test_sampled_partitions_are_pinned():
+    # every partition the samplers build, canonical and random, over all
+    # three radius kinds, bit for bit
+    golden = json.loads((GOLDEN / "sampled_partitions.json").read_text())
+    assert _sampled_partitions_digest() == golden
 
 
 @pytest.mark.parametrize("anchors", [(0.4,), (0.1, 0.25, 0.6, 0.9)])
@@ -159,6 +210,80 @@ def test_partition_rejects_overlap_and_stray_tags():
         TaggedPartition(((Interval(0.0, 0.6), 0.5), (Interval(0.5, 1.0), 0.7)))
     with pytest.raises(ValueError):
         TaggedPartition(((Interval(0.0, 0.5), 0.7),))
+
+
+@pytest.mark.parametrize("triples, message", [
+    ([(-0.25, 0.5, 0.25)], "0 <= lo <= hi <= 1"),
+    ([(0.5, 1.25, 0.75)], "0 <= lo <= hi <= 1"),
+    ([(0.75, 0.5, 0.6)], "0 <= lo <= hi <= 1"),
+    ([(math.nan, 0.5, 0.25)], "0 <= lo <= hi <= 1"),
+    ([(0.0, 0.5, 0.7)], "outside its cell"),
+    ([(0.0, 0.5, 0.25), (0.5, 1.0, 0.25)], "outside its cell"),
+    ([(0.0, 0.6, 0.5), (0.5, 1.0, 0.7)], "overlap"),
+])
+def test_flat_partition_rejects_bad_cells(triples, message):
+    with pytest.raises(ValueError, match=message):
+        TaggedPartition.from_triples(triples)
+
+
+def test_flat_partition_public_views():
+    part = TaggedPartition.from_triples([(0.0, 0.5, 0.25), (0.5, 1.0, 1.0)])
+    assert part.items == ((Interval(0.0, 0.5), 0.25),
+                          (Interval(0.5, 1.0), 1.0))
+    assert part.cells() == (Interval(0.0, 0.5), Interval(0.5, 1.0))
+    assert TaggedPartition(part.items).triples == part.triples
+    assert len(part) == 2 and part.total_length() == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(anchors=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10,
+                        unique=True).map(sorted),
+       slot=st.integers(0, 10),
+       ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+       touch=st.sampled_from([None, "lo", "hi"]),
+       cap=st.sampled_from([0.25, 0.01]),
+       points=st.lists(st.floats(0.0, 1.0), max_size=20))
+@example(anchors=[0.5], slot=0, ends=[0.25, 0.75], touch=None, cap=0.25,
+         points=[0.5])                      # before the first anchor
+@example(anchors=[0.25, 0.5], slot=2, ends=[0.25, 1.0], touch=None,
+         cap=0.01, points=[0.5])            # after the last anchor
+@example(anchors=[0.25, 0.5], slot=1, ends=[0.25, 0.75], touch="hi",
+         cap=0.25, points=[0.5])            # an end on an anchor
+def test_gap_radius_matches_reference(anchors, slot, ends, touch, cap, points):
+    # the radius of a gap that holds no anchor is a closure without a
+    # search; where an anchor touches the gap, gauge.gamma serves
+    radius = AnchoredRadius(tuple(anchors), (1e-3,) * len(anchors),
+                            ANCHORED_KAPPA, cap)
+    gauge = Gauge(radius, tuple(anchors), 1e-4)
+    bounds = [0.0, *anchors, 1.0]
+    k = slot % (len(bounds) - 1)
+    left, right = bounds[k], bounds[k + 1]
+    lo, hi = (left + (right - left) * u for u in ends)
+    if touch == "lo":
+        lo = left
+    if touch == "hi":
+        hi = right
+    at = gauge.on_gap(lo, hi)
+    if any(lo <= a <= hi for a in anchors):
+        assert at is gauge.gamma
+    else:
+        assert at is not gauge.gamma
+    for t in [lo, hi, *(lo + (hi - lo) * p for p in points)]:
+        assert at(t) == radius.at(t), t
+
+
+@pytest.mark.parametrize("floor", [1e-12, 1e-13, 1e-300])
+def test_sub_resolution_gauges_raise(floor):
+    with pytest.raises(EnvelopeTooSmall, match="float resolution"):
+        Gauge.constant(floor)
+    with pytest.raises(EnvelopeTooSmall, match="float resolution"):
+        Gauge.anchored([0.5], floor)
+
+
+def test_sub_resolution_cousin_partition_raises():
+    # it used to return no cells, and is_fine said True
+    with pytest.raises(EnvelopeTooSmall, match="float resolution"):
+        cousin_partition(Gauge.constant(1e-13), Interval(0, 1e-9))
 
 
 def test_regularity_witness_bookkeeping_example():
@@ -204,3 +329,10 @@ def test_measure_spec_validation():
     with pytest.raises(ValueError):
         MeasureSpec(Scalar(-1.0))
     assert zero_like(MeasureSpec(Vector([0.0, 2.0])).m0) == Vector([0.0, 0.0])
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit("usage: python tests/test_domain.py --regenerate")
+    (GOLDEN / "sampled_partitions.json").write_text(
+        json.dumps(_sampled_partitions_digest(), indent=2) + "\n")

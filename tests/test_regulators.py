@@ -1,8 +1,11 @@
+from dataclasses import dataclass
+
 import pytest
 
 from rieszgauge.errors import EmptyFamily, EmptyProbeSet
 from rieszgauge.regulators import (AffineMap, ConstantMap, ExponentialMap,
                                    FiniteMatrix, Geometric, IdentityMap,
+                                   IndexMap,
                                    Scaled, ShiftedMap, SumPair, d_limit_check,
                                    envelope, fremlin_combine, min_envelope,
                                    regulator_entry, standard_probes,
@@ -155,3 +158,24 @@ def test_probe_maps_evaluate_positively():
         for i in range(1, 20):
             assert phi.eval(i) >= 1
             assert phi.eval(i + 1) >= phi.eval(i)
+
+
+@dataclass
+class _UnhashableConstant(IndexMap):
+    # a non-frozen dataclass: equality without a hash
+    c: int
+
+    def eval(self, i):
+        return self.c
+
+
+def test_envelope_is_memoized_on_the_regulator():
+    reg = Geometric(Scalar(1.0), 0.5, 0.5)
+    first = envelope(reg, ConstantMap(3))
+    assert envelope(reg, ConstantMap(3)) is first
+    assert first == brute_envelope(reg, ConstantMap(3))
+    # the memo is no field: equality, hashing and repr stay the family's
+    twin = Geometric(Scalar(1.0), 0.5, 0.5)
+    assert reg == twin and hash(reg) == hash(twin) and repr(reg) == repr(twin)
+    assert envelope(twin, ConstantMap(3)) == first
+    assert envelope(reg, _UnhashableConstant(3)) == first
