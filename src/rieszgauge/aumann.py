@@ -26,7 +26,7 @@ MixSpec = float | tuple[tuple[BorelSet, float], ...]
 _MIX_CELLS = 16
 
 
-def _normalize_mix(mix: MixSpec) -> tuple[tuple[BorelSet, float], ...]:
+def normalize_mix(mix: MixSpec) -> tuple[tuple[BorelSet, float], ...]:
     if isinstance(mix, (int, float)):
         return ((BorelSet.whole(), float(mix)),)
     return tuple(mix)
@@ -94,7 +94,7 @@ def aumann_integral(F: Multifunction, A, spec: MeasureSpec, reg: Regulator,
         raise EmptySelectionFamily("no selection mixes given")
     points = []
     for idx, mix in enumerate(mixes):
-        sel = Selection(F, _normalize_mix(mix))
+        sel = Selection(F, normalize_mix(mix))
         cert = kh_integrate(sel.integrand(), A, spec, reg, probes,
                             samples=partition_samples, seed=f"{seed}:{idx}",
                             max_depth=max_depth)

@@ -17,7 +17,7 @@ import sys
 from . import report
 from .aumann import comparison_simple
 from .config import (SpecError, load_config, parse_integrand,
-                     parse_multifunction, parse_set)
+                     parse_multifunction, parse_set, parse_value)
 from .errors import NotCertifiable, RieszGaugeError, UnboundedMultifunction
 from .integrate import counterexample_unboundedness, kh_integrate
 from .setvalued import SimpleSet, phi_interval_oracle, phi_membership
@@ -29,11 +29,8 @@ class _Parser(argparse.ArgumentParser):
     # certification failures here)
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._name_and_fail(message))
-
-    def _name_and_fail(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _add_common(parser, suppress: bool):
@@ -48,13 +45,9 @@ def _add_common(parser, suppress: bool):
                         help="probe set, e.g. 'std' or 'const:3,identity'")
     parser.add_argument("--out", metavar="PATH", default=default,
                         help="write the JSON report here instead of stdout")
-    if suppress:
-        parser.add_argument("--json", action="store_true",
-                            default=argparse.SUPPRESS,
-                            help="compact single-line JSON output")
-    else:
-        parser.add_argument("--json", action="store_true",
-                            help="compact single-line JSON output")
+    parser.add_argument("--json", action="store_true",
+                        default=argparse.SUPPRESS if suppress else False,
+                        help="compact single-line JSON output")
 
 
 def _build_parser() -> _Parser:
@@ -141,23 +134,18 @@ def _run(args) -> int:
     if args.command == "phi":
         F = parse_multifunction(args.F, config)
         region = parse_set(args.on)
-        try:
-            F.bound()
-            oracle = phi_interval_oracle(F, region, spec, config.regulator,
-                                         config.probes,
-                                         seed=f"{config.seed}:cli", **kw)
-            member = None
-            if args.member is not None:
-                from .config import parse_value
-                z = parse_value(args.member, config.value_space)
-                verdict = phi_membership(z, F, region, spec, config.regulator,
-                                         config.probes,
-                                         seed=f"{config.seed}:cli", **kw)
-                member = (z, verdict)
-                print("member" if verdict else "non-member", file=sys.stderr)
-        except UnboundedMultifunction as exc:
-            print(f"unbounded multifunction: {exc}", file=sys.stderr)
-            return 3
+        F.bound()
+        oracle = phi_interval_oracle(F, region, spec, config.regulator,
+                                     config.probes, seed=f"{config.seed}:cli",
+                                     **kw)
+        member = None
+        if args.member is not None:
+            z = parse_value(args.member, config.value_space)
+            verdict = phi_membership(z, F, region, spec, config.regulator,
+                                     config.probes, seed=f"{config.seed}:cli",
+                                     **kw)
+            member = (z, verdict)
+            print("member" if verdict else "non-member", file=sys.stderr)
         _emit(report.phi_to_json(oracle, region, F.describe(), member), args)
         return 0
 

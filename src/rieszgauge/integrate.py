@@ -15,8 +15,8 @@ from functools import reduce
 from .domain import (BorelSet, Gauge, Interval, MeasureSpec, TaggedPartition,
                      cousin_partition, is_fine, iter_fine_partitions,
                      overlap_length)
-from .errors import (EmptyProbeSet, GaugeConstructionFailed, NotCertifiable,
-                     NotDisjoint)
+from .errors import (EmptyProbeSet, EnvelopeTooSmall, GaugeConstructionFailed,
+                     NotCertifiable, NotDisjoint)
 from .integrands import CounterexampleC00, Integrand
 from .regulators import IndexMap, Regulator, envelope, min_envelope
 from .values import (ORDER_SLACK, RieszValue, Scalar, SparseSeq, Vector,
@@ -142,6 +142,10 @@ def certification_gauge(f: Integrand, E: BorelSet, spec: MeasureSpec,
         if lam > 0.0:
             interior *= 0.5
         rho = env_min / (8.0 * len(boundaries) * supb.sup_norm() * scale_m)
+        if rho == 0.0:
+            raise EnvelopeTooSmall(
+                "the jump-point radius underflows to 0 against the size of "
+                "the integrand: the envelope is below float resolution")
         return Gauge.anchored(boundaries, min(rho, 0.25),
                               cap=min(interior, 0.25))
     return Gauge.constant(min(interior, 2.0))

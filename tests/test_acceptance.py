@@ -22,10 +22,10 @@ from rieszgauge.setvalued import (ConstantSet, OrderInterval,
                                   phi_convexity_check, phi_interval_oracle,
                                   phi_membership, phi_monotonicity_check,
                                   respects_global_bound, set_scale)
-from rieszgauge.suites import (_builtin_interval_multifunctions, _rand_borel,
-                               _rand_geometric, _rand_interval,
-                               _rand_simple_integrand, _rand_simple_set,
-                               _rand_tiling, _rand_value, _rng)
+from rieszgauge.suites import (builtin_interval_multifunctions, rand_borel,
+                               rand_geometric, rand_interval,
+                               rand_simple_integrand, rand_simple_set,
+                               rand_tiling, rand_value, seeded_rng)
 from rieszgauge.values import Scalar, leq, mul, zero_like
 
 CONFIG = RunConfig(seed=42)
@@ -65,11 +65,11 @@ def test_criterion_01_linear_integrand_via_cli():
 
 
 def test_criterion_02_simple_integrands_exact():
-    rng = _rng(CONFIG, "acceptance:simple")
+    rng = seeded_rng(CONFIG, "acceptance:simple")
     start = time.monotonic()
     worst = 0.0
     for trial in range(100):
-        f = _rand_simple_integrand(rng, CONFIG, max_pieces=8)
+        f = rand_simple_integrand(rng, CONFIG, max_pieces=8)
         expected = mul(f.zero_value(), SPEC.m0)
         for part, v in f.pieces:
             expected = expected + mul(v, SPEC.m0.scale(part.length()))
@@ -100,14 +100,14 @@ def test_criterion_03_counterexample_unbounded():
 
 
 def test_criterion_04_constant_multifunction_oracle():
-    rng = _rng(CONFIG, "acceptance:costante")
+    rng = seeded_rng(CONFIG, "acceptance:costante")
     env_min = min_envelope(REG, PROBES)
     worst = 0.0
     ok = True
     for trial in range(50):
-        C = _rand_interval(rng, CONFIG)
+        C = rand_interval(rng, CONFIG)
         F = ConstantSet(C)
-        region = _rand_borel(rng)
+        region = rand_borel(rng)
         oracle = phi_interval_oracle(F, region, SPEC, REG, PROBES)
         expected = set_scale(C, measure(SPEC, region))
         worst = max(worst, (oracle.lo - expected.lo).sup_norm(),
@@ -132,13 +132,13 @@ def test_criterion_04_constant_multifunction_oracle():
 
 
 def test_criterion_05_simple_comparison():
-    rng = _rng(CONFIG, "acceptance:confronto")
+    rng = seeded_rng(CONFIG, "acceptance:confronto")
     start = time.monotonic()
     worst = 0.0
     ok = True
     for trial in range(100):
-        F = _rand_simple_set(rng, CONFIG, max_pieces=5)
-        region = _rand_borel(rng)
+        F = rand_simple_set(rng, CONFIG, max_pieces=5)
+        region = rand_borel(rng)
         rep = comparison_simple(F, region, SPEC, REG, PROBES,
                                 seed=f"acc5:{trial}")
         ok &= rep.passed
@@ -155,12 +155,12 @@ def test_criterion_05_simple_comparison():
 
 
 def test_criterion_06_fremlin_domination():
-    rng = _rng(CONFIG, "acceptance:fremlin")
+    rng = seeded_rng(CONFIG, "acceptance:fremlin")
     violations = 0
     for _ in range(20):
-        members = tuple(_rand_geometric(rng, CONFIG)
+        members = tuple(rand_geometric(rng, CONFIG)
                         for _ in range(rng.randint(1, 5)))
-        u = abs(_rand_value(rng, CONFIG, 0.5, 12.0))
+        u = abs(rand_value(rng, CONFIG, 0.5, 12.0))
         if u.is_zero():
             u = CONFIG.unit()
         combined = fremlin_combine(members, u)
@@ -182,10 +182,10 @@ def test_criterion_07_sigma_additivity():
     dyadic = [BorelSet.from_pairs([[2.0 ** (-k), 2.0 ** (-k + 1)]])
               for k in range(1, 21)]
     ok = sigma_additivity_check(SPEC, dyadic, SPEC.m0.scale(2.0 ** (-20)))
-    rng = _rng(CONFIG, "acceptance:sigma")
+    rng = seeded_rng(CONFIG, "acceptance:sigma")
     count = 0
     while count < 50:
-        family = _rand_tiling(rng, 6)
+        family = rand_tiling(rng, 6)
         if not family:
             continue
         count += 1
@@ -196,10 +196,10 @@ def test_criterion_07_sigma_additivity():
 
 
 def test_criterion_08_phi_structure():
-    rng = _rng(CONFIG, "acceptance:structure")
-    ramp_band, symmetric_ramp = _builtin_interval_multifunctions(CONFIG)
-    families = [ConstantSet(_rand_interval(rng, CONFIG)),
-                _rand_simple_set(rng, CONFIG, max_pieces=3),
+    rng = seeded_rng(CONFIG, "acceptance:structure")
+    ramp_band, symmetric_ramp = builtin_interval_multifunctions(CONFIG)
+    families = [ConstantSet(rand_interval(rng, CONFIG)),
+                rand_simple_set(rng, CONFIG, max_pieces=3),
                 ramp_band, symmetric_ramp]
     ok = True
     for i, F in enumerate(families):
@@ -216,11 +216,11 @@ def test_criterion_08_phi_structure():
                 ACCEPTED.append((z, F))
     for trial in range(20):
         if rng.random() < 0.5:
-            F = ConstantSet(_rand_interval(rng, CONFIG, centered=True))
+            F = ConstantSet(rand_interval(rng, CONFIG, centered=True))
         else:
-            F = _rand_simple_set(rng, CONFIG, max_pieces=3, centered=True)
-        b_set = _rand_borel(rng)
-        a_set = b_set.intersection(_rand_borel(rng))
+            F = rand_simple_set(rng, CONFIG, max_pieces=3, centered=True)
+        b_set = rand_borel(rng)
+        a_set = b_set.intersection(rand_borel(rng))
         ok &= phi_monotonicity_check(F, a_set, b_set, SPEC, REG, PROBES,
                                      seed=f"acc8:mn:{trial}")
     bound_ok = all(respects_global_bound(z, F, SPEC) for z, F in ACCEPTED)
@@ -231,18 +231,18 @@ def test_criterion_08_phi_structure():
 
 
 def test_criterion_09_dot_sum_and_lattice_exact():
-    rng = _rng(CONFIG, "acceptance:algebra")
+    rng = seeded_rng(CONFIG, "acceptance:algebra")
     ok = True
     for _ in range(1000):
-        a = _rand_interval(rng, CONFIG)
-        b = _rand_interval(rng, CONFIG)
-        c = _rand_interval(rng, CONFIG)
+        a = rand_interval(rng, CONFIG)
+        b = rand_interval(rng, CONFIG)
+        c = rand_interval(rng, CONFIG)
         ok &= dot_sum([dot_sum([a, b]), c]) == dot_sum([a, dot_sum([b, c])])
         ok &= dot_sum([a, b]) == dot_sum([b, a])
         zero = OrderInterval.singleton(zero_like(a.lo))
         ok &= dot_sum([a, zero]) == a
-        x = _rand_value(rng, CONFIG)
-        y = _rand_value(rng, CONFIG)
+        x = rand_value(rng, CONFIG)
+        y = rand_value(rng, CONFIG)
         ok &= x.join(y) + x.meet(y) == x + y
         ok &= x.meet(x.join(y)) == x
         ok &= abs(mul(x, y)) == mul(abs(x), abs(y))

@@ -138,6 +138,10 @@ def test_phi_simple_two_piece():
 def test_phi_unbounded_exits_3():
     proc = run_cli("phi", "--F", "interval:counterexample,counterexample")
     assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("unbounded multifunction: ")
 
 
 def test_compare_two_piece():
@@ -177,6 +181,14 @@ def test_suite_counterexample_reports():
     payload = validated(proc.stdout)
     names = [p["name"] for s in payload["suites"] for p in s["properties"]]
     assert "family_unbounded" in names
+
+
+def test_suite_measure_passes_under_c00():
+    # regulator bases drawn by the suites cover the support of m0
+    ini = REPO / "tests" / "golden" / "cli" / "c00.ini"
+    proc = run_cli("--config", str(ini), "suite", "measure")
+    assert proc.returncode == 0, proc.stderr
+    assert validated(proc.stdout)["passed"] is True
 
 
 def test_compact_json_flag():
@@ -221,11 +233,12 @@ def test_readme_config_example_loads_as_printed(tmp_path):
 @pytest.mark.parametrize("args", [
     ("integrate", "--f", "square", "--probes", "const:60"),
     ("integrate", "--f", "simple:0,0.5,1e300"),
+    ("integrate", "--f", "simple:0,0.5,1e308", "--probes", "const:40"),
 ])
 def test_sub_resolution_gauges_exit_2(args):
-    # gauges below float resolution used to hang (const:60) or end in a
-    # verdict on integrability (1e300); the timeout turns a hang into a
-    # failure
+    # gauges below float resolution used to hang (const:60), end in a
+    # verdict on integrability (1e300) or in a traceback (1e308, whose tag
+    # radius underflows to 0); the timeout turns a hang into a failure
     proc = run_cli(*args, timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""

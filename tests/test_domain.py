@@ -21,6 +21,35 @@ SPEC = MeasureSpec(Scalar(1.0))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+grid_sets = st.lists(
+    st.tuples(st.integers(0, 64), st.integers(0, 64)).map(sorted),
+    max_size=5).map(lambda pairs: BorelSet.from_pairs(
+        [[lo / 64.0, hi / 64.0] for lo, hi in pairs]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_sets)
+def test_borel_normal_form(a):
+    comps = a.components
+    assert all(c.lo <= c.hi for c in comps)
+    assert all(c.hi < d.lo for c, d in zip(comps, comps[1:]))
+    assert BorelSet(a.components) == a
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_sets, grid_sets)
+def test_borel_union_and_intersection_commute(a, b):
+    assert a.union(b) == b.union(a)
+    assert a.intersection(b) == b.intersection(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_sets, grid_sets)
+def test_borel_length_splits_exactly(a, b):
+    # dyadic endpoints keep every length and sum exact
+    assert a.length() == a.intersection(b).length() + a.difference(b).length()
+
+
 def test_borel_normalization_is_canonical():
     a = BorelSet.from_pairs([[0.5, 1.0], [0.0, 0.25], [0.25, 0.5]])
     assert a.to_pairs() == [[0.0, 1.0]]
