@@ -31,8 +31,8 @@ from .setvalued import (ConstantSet, IntervalValued, Multifunction,
                         phi_convexity_check, phi_interval_oracle,
                         phi_membership, phi_monotonicity_check,
                         riemann_set_sum, set_scale, singleton_multifunction)
-from .aumann import (AumannResult, ComparisonReport, Selection,
-                     aumann_integral, comparison_simple, default_mixes,
+from .aumann import (AumannResult, ComparisonReport, aumann_integral,
+                     comparison_simple, default_mixes, selection,
                      selection_is_valid)
 from .config import RunConfig, load_config
 from . import errors

@@ -32,32 +32,24 @@ def normalize_mix(mix: MixSpec) -> tuple[tuple[BorelSet, float], ...]:
     return tuple(mix)
 
 
-@dataclass(frozen=True)
-class Selection:
-    """A single-valued pick ``(1 - lam(t)) * lower(t) + lam(t) * upper(t)``
+def selection(F: Multifunction,
+              mix: tuple[tuple[BorelSet, float], ...]) -> SelectionIntegrand:
+    """The single-valued pick ``(1 - lam(t)) * lower(t) + lam(t) * upper(t)``
     from a multifunction, for a simple mixing function with values in [0, 1]
     (zero off its pieces, so the pick is the lower endpoint there)."""
-
-    base: Multifunction
-    mix: tuple[tuple[BorelSet, float], ...]
-
-    def integrand(self) -> SelectionIntegrand:
-        return SelectionIntegrand(self.base.lower_integrand(),
-                                  self.base.upper_integrand(), self.mix)
+    return SelectionIntegrand(F.lower, F.upper, mix)
 
 
-def selection_is_valid(sel: Selection, grid, slack: float = ORDER_SLACK) -> bool:
+def selection_is_valid(f: SelectionIntegrand, grid,
+                       slack: float = ORDER_SLACK) -> bool:
     """Pointwise sandwich check on a grid plus every jump point."""
     grid = tuple(grid)
     if not grid:
         raise ValueError("the verification grid must be nonempty")
-    f = sel.integrand()
-    lower = sel.base.lower_integrand()
-    upper = sel.base.upper_integrand()
     points = set(grid) | set(f.boundary_points())
     return all(
-        leq(lower.value_at(t), f.value_at(t), slack)
-        and leq(f.value_at(t), upper.value_at(t), slack)
+        leq(f.lower.value_at(t), f.value_at(t), slack)
+        and leq(f.value_at(t), f.upper.value_at(t), slack)
         for t in points)
 
 
@@ -94,8 +86,8 @@ def aumann_integral(F: Multifunction, A, spec: MeasureSpec, reg: Regulator,
         raise EmptySelectionFamily("no selection mixes given")
     points = []
     for idx, mix in enumerate(mixes):
-        sel = Selection(F, normalize_mix(mix))
-        cert = kh_integrate(sel.integrand(), A, spec, reg, probes,
+        f = selection(F, normalize_mix(mix))
+        cert = kh_integrate(f, A, spec, reg, probes,
                             samples=partition_samples, seed=f"{seed}:{idx}",
                             max_depth=max_depth)
         points.append(cert.value)

@@ -170,6 +170,24 @@ def parse_set(text: str) -> BorelSet:
         raise SpecError(f"bad set spec {text!r}: {exc}")
 
 
+def _split_fields(text: str) -> list[str]:
+    """``text`` split at the commas outside ``[]`` and ``{}``, so that a
+    field may hold a JSON vector or c00 value."""
+    fields = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(text):
+        if ch in "[{":
+            depth += 1
+        elif ch in "]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            fields.append(text[start:i])
+            start = i + 1
+    fields.append(text[start:])
+    return fields
+
+
 def parse_integrand(text: str, config: RunConfig) -> Integrand:
     """``const:<value>``, a named form (t, one_minus_t, half_t, neg_t,
     square), ``simple:<lo>,<hi>,<value>;...``, or ``counterexample``."""
@@ -179,7 +197,7 @@ def parse_integrand(text: str, config: RunConfig) -> Integrand:
     if text.startswith("simple:"):
         pieces = []
         for chunk in text[7:].split(";"):
-            fields = chunk.split(",")
+            fields = _split_fields(chunk)
             if len(fields) != 3:
                 raise SpecError(
                     f"simple piece {chunk!r} needs lo,hi,value")
@@ -206,7 +224,7 @@ def parse_multifunction(text: str, config: RunConfig) -> Multifunction:
     text = text.strip()
     if text.startswith("const:"):
         body = text[6:]
-        parts = body.split(",")
+        parts = _split_fields(body)
         if len(parts) != 2:
             raise SpecError(f"constant multifunction {body!r} needs lo,hi")
         lo = parse_value(parts[0], config.value_space)

@@ -143,10 +143,6 @@ class BorelSet:
         return f"BorelSet({tag}{self.to_pairs()!r})"
 
 
-def overlap_length(a: BorelSet, b: BorelSet) -> float:
-    return a.intersection(b).length()
-
-
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
@@ -490,8 +486,10 @@ def _fill_canonical(radius, a: float, b: float, depth: int, max_depth: int,
                     out: list):
     """Bisect [a, b] until each piece fits the ball of one of its midpoint,
     right, or left endpoint (preferred in that order).  ``radius`` is that of
-    :meth:`Gauge.on_gap`."""
+    :meth:`Gauge.on_gap`.  A piece of width at most ``_EPS`` is dropped
+    when it is fine at its midpoint and raises DepthExceeded otherwise."""
     if b - a <= _EPS:
+        _check_sliver(radius, a, b)
         return
     gamma = radius if callable(radius) else None
     for tag in (0.5 * (a + b), b, a):
@@ -505,6 +503,17 @@ def _fill_canonical(radius, a: float, b: float, depth: int, max_depth: int,
     mid = 0.5 * (a + b)
     _fill_canonical(radius, a, mid, depth + 1, max_depth, out)
     _fill_canonical(radius, mid, b, depth + 1, max_depth, out)
+
+
+def _check_sliver(radius, a: float, b: float):
+    """Raise DepthExceeded unless the sliver [a, b], too narrow to cut, is
+    fine at its midpoint; ``radius`` is a float or a function of the point."""
+    mid = 0.5 * (a + b)
+    r = radius(mid) if callable(radius) else radius
+    if not max(mid - a, b - mid) < r:
+        raise DepthExceeded(
+            f"[{a}, {b}] is below float resolution and not fine at its "
+            "midpoint; the gauge floor declaration looks wrong")
 
 
 def _cousin_cells(gauge: Gauge, lo: float, hi: float, max_depth: int,
@@ -553,7 +562,8 @@ def _fill_random(radius, lo: float, hi: float, rng: random.Random,
     left piece first, and the radii already known at a piece's endpoints
     travel down to its halves.  ``radius`` is that of :meth:`Gauge.on_gap`;
     a constant one is known everywhere.  ``rng.uniform(x, y)`` is spelled
-    out as the ``x + (y - x) * rng.random()`` it evaluates.
+    out as the ``x + (y - x) * rng.random()`` it evaluates.  A piece of
+    width at most ``_EPS`` is dropped as in :func:`_fill_canonical`.
     """
     draw = rng.random
     gamma = radius if callable(radius) else None
@@ -564,6 +574,7 @@ def _fill_random(radius, lo: float, hi: float, rng: random.Random,
         a, b, depth, ga, gb = pop()
         width = b - a
         if width <= _EPS:
+            _check_sliver(radius, a, b)
             continue
         tag = a + width * (0.25 + (0.75 - 0.25) * draw())
         gt = radius if gamma is None else gamma(tag)
@@ -706,7 +717,7 @@ def sigma_additivity_check(spec: MeasureSpec, family, tail_bound: RieszValue,
     family = tuple(family)
     for i, a in enumerate(family):
         for b in family[i + 1:]:
-            if overlap_length(a, b) > slack:
+            if a.intersection(b).length() > slack:
                 raise NotDisjoint("family members overlap on positive length")
     union = reduce(lambda x, y: x.union(y), family, BorelSet.empty())
     total = measure(spec, union)

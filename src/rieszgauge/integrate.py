@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .domain import (BorelSet, Gauge, Interval, MeasureSpec, TaggedPartition,
-                     cousin_partition, is_fine, iter_fine_partitions,
-                     overlap_length)
+                     cousin_partition, is_fine, iter_fine_partitions)
 from .errors import (EmptyProbeSet, EnvelopeTooSmall, GaugeConstructionFailed,
                      NotCertifiable, NotDisjoint)
 from .integrands import CounterexampleC00, Integrand
@@ -211,7 +210,7 @@ def integral_additivity_check(f: Integrand, A, B, spec: MeasureSpec,
     """Additivity over disjoint sets, positivity for nonnegative integrands,
     and scalar linearity, all within twice the tightest probe envelope."""
     A, B = as_borel(A), as_borel(B)
-    if overlap_length(A, B) > ORDER_SLACK:
+    if A.intersection(B).length() > ORDER_SLACK:
         raise NotDisjoint("additivity needs disjoint sets")
     both = kh_integrate(f, A.union(B), spec, reg, probes, **kw)
     only_a = kh_integrate(f, A, spec, reg, probes, **kw)
@@ -241,7 +240,8 @@ def counterexample_partition(n: int, delta: Gauge,
 
     The forced cell at 1/k has half-width ``min(gauge there, neighbor gaps)/4``
     so the cells stay pairwise disjoint, strictly inside (0, 1), and strictly
-    ordered.
+    ordered.  Cells are laid down left to right: each gap's fill, then the
+    forced cell that ends it.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -250,48 +250,48 @@ def counterexample_partition(n: int, delta: Gauge,
     missing = [p for p in points if p not in declared]
     if missing:
         raise ValueError(f"gauge lacks mandatory tags at {missing}")
-    forced: list[tuple[Interval, float]] = []
+    keep = set(points)
+    triples: list = []
+    cursor = 0.0
     for idx, xi in enumerate(points):
         gap_left = xi - (points[idx - 1] if idx else 0.0)
         gap_right = (points[idx + 1] if idx + 1 < len(points) else 1.0) - xi
         h = min(delta.gamma(xi), gap_left, gap_right) / 4.0
-        forced.append((Interval(xi - h, xi + h), xi))
-    items = list(forced)
-    cursor = 0.0
-    fills: list[Interval] = []
-    for cell, _ in forced:
-        if cell.lo - cursor > 1e-12:
-            fills.append(Interval(cursor, cell.lo))
-        cursor = cell.hi
-    if 1.0 - cursor > 1e-12:
-        fills.append(Interval(cursor, 1.0))
-    for gap in fills:
-        filled = cousin_partition(delta, gap, max_depth)
-        items.extend(_nudge_off_reciprocals(filled, delta, set(points)))
-    items.sort(key=lambda item: item[0].lo)
-    part = TaggedPartition(tuple(items))
+        _fill_gap(delta, cursor, xi - h, keep, max_depth, triples)
+        triples.append((xi - h, xi + h, xi))
+        cursor = xi + h
+    _fill_gap(delta, cursor, 1.0, keep, max_depth, triples)
+    part = TaggedPartition.from_triples(triples)
     if not is_fine(part, delta):
         raise NotCertifiable("constructed partition failed the fineness check")
     return part
 
 
-def _nudge_off_reciprocals(part: TaggedPartition, gauge: Gauge, keep: set):
+def _fill_gap(gauge: Gauge, lo: float, hi: float, keep: set, max_depth: int,
+              out: list):
+    """Append the canonical fine cells of the gap [lo, hi], with tags nudged
+    off the reciprocals, to ``out``; a gap of 1e-12 or less gets none."""
+    if hi - lo > 1e-12:
+        filled = cousin_partition(gauge, Interval(lo, hi), max_depth)
+        out.extend(_nudge_off_reciprocals(filled.triples, gauge, keep))
+
+
+def _nudge_off_reciprocals(triples, gauge: Gauge, keep: set) -> list:
     """Move any fill tag that lands exactly on a reciprocal 1/m off it (while
     staying fine), so the spike function vanishes at every fill tag."""
     out = []
-    for cell, tag in part.items:
+    for lo, hi, tag in triples:
         if tag > 0.0 and tag not in keep:
             m = round(1.0 / tag)
             if m >= 1 and 1.0 / m == tag:
-                width = cell.length()
+                width = hi - lo
                 for cand in (tag + width / 7.0, tag - width / 7.0,
                              tag + width / 13.0, tag - width / 13.0):
-                    if (cell.contains(cand)
-                            and max(cand - cell.lo, cell.hi - cand)
-                            < gauge.gamma(cand)):
+                    if (lo <= cand <= hi
+                            and max(cand - lo, hi - cand) < gauge.gamma(cand)):
                         tag = cand
                         break
-        out.append((cell, tag))
+        out.append((lo, hi, tag))
     return out
 
 
@@ -329,7 +329,7 @@ def counterexample_unboundedness(n_max: int, *, gauge_radius: float = 0.05,
         part = counterexample_partition(n, delta, max_depth)
         fine = is_fine(part, delta)
         total = riemann_sum(f, part, spec)
-        lam = next(cell.length() for cell, tag in part.items
+        lam = next(hi - lo for lo, hi, tag in part.triples
                    if tag == points[0])
         dominated = lam > 0.0 and leq(SparseSeq({n: lam}), total, ORDER_SLACK)
         support = total.support()

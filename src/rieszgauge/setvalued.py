@@ -21,7 +21,7 @@ from .domain import (BorelSet, Gauge, MeasureSpec, TaggedPartition,
 from .errors import (EmptyFamily, EmptyProbeSet, NegativeScaleUnsupported,
                      PiecesOverlap, UnboundedMultifunction, ZeroNotInValues)
 from .integrands import (_GRID, ConstantIntegrand, CoordinateMap, Integrand,
-                         SimpleIntegrand, disjoint_lookup, piece_boundaries)
+                         SimpleIntegrand, disjoint_lookup)
 from .integrate import as_borel, kh_integrate, weighted_sums
 from .regulators import Regulator, Scaled, SumPair, envelope, max_envelope
 from .values import (ORDER_SLACK, RieszValue, SparseSeq, clamp, coordinates,
@@ -90,7 +90,13 @@ def set_scale(C: OrderInterval, m: RieszValue) -> OrderInterval:
 # ---------------------------------------------------------------------------
 
 class Multifunction:
-    """Base class: a map from [0, 1] into order intervals."""
+    """Base class: a map from [0, 1] into order intervals, given by its lower
+    and upper end integrands.  Each family sets ``lower`` and ``upper`` once,
+    when it is built, and the value interval, the jump points, the bound,
+    the modulus and the zero are read off them here."""
+
+    lower: Integrand
+    upper: Integrand
 
     #: Whether the end integrands integrate in closed form, so that the
     #: integral's interval is their exact integrals (see
@@ -98,7 +104,7 @@ class Multifunction:
     exact_ends = False
 
     def value_at(self, t: float) -> OrderInterval:
-        raise NotImplementedError
+        return OrderInterval(self.lower.value_at(t), self.upper.value_at(t))
 
     def compile(self, like: RieszValue, keys: tuple) -> CoordinateMap:
         """The value interval at a tag as the floats of its lower end over
@@ -110,27 +116,28 @@ class Multifunction:
         return lambda t: value_at(t).coordinates(like, keys)
 
     def boundary_points(self) -> tuple[float, ...]:
-        return ()
+        """The jump points of either end, sorted."""
+        pts = set(self.lower.boundary_points())
+        pts |= set(self.upper.boundary_points())
+        return tuple(sorted(pts))
 
     def bound(self) -> RieszValue:
         """An L >= 0 with every value inside [-L, L]."""
-        raise NotImplementedError
+        return self.lower.sup_bound().join(self.upper.sup_bound())
 
     def interior_modulus(self) -> float:
         """Lipschitz modulus of the endpoint functions away from boundaries."""
-        raise NotImplementedError
-
-    def lower_integrand(self) -> Integrand:
-        raise NotImplementedError
-
-    def upper_integrand(self) -> Integrand:
-        raise NotImplementedError
+        lams = (self.lower.lipschitz(), self.upper.lipschitz())
+        if None in lams:
+            raise UnboundedMultifunction(
+                "endpoint integrands declare no modulus")
+        return max(lams)
 
     def contains_zero(self) -> bool:
         raise NotImplementedError
 
     def zero_value(self) -> RieszValue:
-        raise NotImplementedError
+        return self.lower.zero_value()
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -141,30 +148,16 @@ class ConstantSet(Multifunction):
     value: OrderInterval
     exact_ends = True
 
-    def value_at(self, t):
-        return self.value
+    def __post_init__(self):
+        object.__setattr__(self, "lower", ConstantIntegrand(self.value.lo))
+        object.__setattr__(self, "upper", ConstantIntegrand(self.value.hi))
 
     def compile(self, like, keys):
         c = self.value.coordinates(like, keys)
         return lambda t: c
 
-    def bound(self):
-        return abs(self.value.lo).join(abs(self.value.hi))
-
-    def interior_modulus(self):
-        return 0.0
-
-    def lower_integrand(self):
-        return ConstantIntegrand(self.value.lo)
-
-    def upper_integrand(self):
-        return ConstantIntegrand(self.value.hi)
-
     def contains_zero(self):
         return self.value.contains_value(self.zero_value())
-
-    def zero_value(self):
-        return zero_like(self.value.lo)
 
     def describe(self):
         return "constant set"
@@ -182,40 +175,19 @@ class SimpleSet(Multifunction):
             raise ValueError("a simple multifunction needs at least one piece")
         object.__setattr__(self, "_lookup", disjoint_lookup(
             self.pieces, PiecesOverlap, "simple multifunction pieces"))
-
-    def value_at(self, t):
-        C = self._lookup.get(t)
-        return C if C is not None else OrderInterval.singleton(self.zero_value())
+        object.__setattr__(self, "lower", SimpleIntegrand(
+            tuple((s, C.lo) for s, C in self.pieces)))
+        object.__setattr__(self, "upper", SimpleIntegrand(
+            tuple((s, C.hi) for s, C in self.pieces)))
 
     def compile(self, like, keys):
         return self._lookup.compile(
             lambda C: C.coordinates(like, keys),
             coordinates(self.zero_value(), like, keys) * 2)
 
-    def boundary_points(self):
-        return piece_boundaries(self.pieces)
-
-    def bound(self):
-        out = zero_like(self.pieces[0][1].lo)
-        for _, C in self.pieces:
-            out = out.join(abs(C.lo)).join(abs(C.hi))
-        return out
-
-    def interior_modulus(self):
-        return 0.0
-
-    def lower_integrand(self):
-        return SimpleIntegrand(tuple((s, C.lo) for s, C in self.pieces))
-
-    def upper_integrand(self):
-        return SimpleIntegrand(tuple((s, C.hi) for s, C in self.pieces))
-
     def contains_zero(self):
         zero = self.zero_value()
         return all(C.contains_value(zero) for _, C in self.pieces)
-
-    def zero_value(self):
-        return zero_like(self.pieces[0][1].lo)
 
     def describe(self):
         return f"simple set ({len(self.pieces)} pieces)"
@@ -230,15 +202,11 @@ class IntervalValued(Multifunction):
     upper: Integrand
 
     def __post_init__(self):
-        pts = set(_GRID) | set(self.lower.boundary_points())
-        pts |= set(self.upper.boundary_points())
+        pts = set(_GRID) | set(self.boundary_points())
         for t in sorted(pts):
             if not leq(self.lower.value_at(t), self.upper.value_at(t),
                        ORDER_SLACK):
                 raise ValueError(f"lower exceeds upper at t = {t}")
-
-    def value_at(self, t):
-        return OrderInterval(self.lower.value_at(t), self.upper.value_at(t))
 
     def compile(self, like, keys):
         # the order is checked on every coordinate either end can reach, so
@@ -263,35 +231,11 @@ class IntervalValued(Multifunction):
             return lo[:n] + hi[:n]
         return at
 
-    def boundary_points(self):
-        pts = set(self.lower.boundary_points())
-        pts |= set(self.upper.boundary_points())
-        return tuple(sorted(pts))
-
-    def bound(self):
-        return self.lower.sup_bound().join(self.upper.sup_bound())
-
-    def interior_modulus(self):
-        lams = (self.lower.lipschitz(), self.upper.lipschitz())
-        if None in lams:
-            raise UnboundedMultifunction(
-                "endpoint integrands declare no modulus")
-        return max(lams)
-
-    def lower_integrand(self):
-        return self.lower
-
-    def upper_integrand(self):
-        return self.upper
-
     def contains_zero(self):
         zero = self.zero_value()
         pts = set(_GRID) | set(self.boundary_points())
         return all(self.value_at(t).contains_value(zero, ORDER_SLACK)
                    for t in pts)
-
-    def zero_value(self):
-        return self.lower.zero_value()
 
     def describe(self):
         return f"interval [{self.lower.describe()}, {self.upper.describe()}]"
@@ -319,13 +263,10 @@ def riemann_set_sum(F: Multifunction, part: TaggedPartition,
     intervals bit for bit, and a tag whose value interval has ``lo > hi``
     raises ValueError as the per-cell interval would.
     """
+    ends = (F.lower, F.upper)
     lo, hi = weighted_sums(F.compile, F.zero_value(), part, spec, 2,
-                           lambda t: _ends(F.value_at(t)))
+                           lambda t: [f.value_at(t) for f in ends])
     return OrderInterval(lo, hi)
-
-
-def _ends(C: OrderInterval) -> tuple[RieszValue, RieszValue]:
-    return (C.lo, C.hi)
 
 
 def _relevant_jumps(F: Multifunction, E: BorelSet) -> tuple[float, ...]:
@@ -440,8 +381,7 @@ def endpoint_integrals(F: Multifunction, E: BorelSet,
     over ``E``; for a simple multifunction this is the endpoint-sum formula,
     the dot-sum of its value intervals scaled by the measure of each piece
     inside ``E``."""
-    return OrderInterval(F.lower_integrand().integral(E, spec),
-                         F.upper_integrand().integral(E, spec))
+    return OrderInterval(F.lower.integral(E, spec), F.upper.integral(E, spec))
 
 
 def phi_interval_oracle(F: Multifunction, E, spec: MeasureSpec,
@@ -453,10 +393,10 @@ def phi_interval_oracle(F: Multifunction, E, spec: MeasureSpec,
     E = as_borel(E)
     if F.exact_ends:
         return endpoint_integrals(F, E, spec)
-    lo = kh_integrate(F.lower_integrand(), E, spec, reg, probes,
+    lo = kh_integrate(F.lower, E, spec, reg, probes,
                       samples=partition_samples, seed=f"{seed}:lo",
                       max_depth=max_depth).value
-    hi = kh_integrate(F.upper_integrand(), E, spec, reg, probes,
+    hi = kh_integrate(F.upper, E, spec, reg, probes,
                       samples=partition_samples, seed=f"{seed}:hi",
                       max_depth=max_depth).value
     return OrderInterval(lo, hi)

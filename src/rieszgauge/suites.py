@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .aumann import (Selection, aumann_integral, comparison_simple,
-                     default_mixes, normalize_mix, selection_is_valid)
+from .aumann import (aumann_integral, comparison_simple, default_mixes,
+                     normalize_mix, selection, selection_is_valid)
 from .config import RunConfig
 from .domain import (BorelSet, Gauge, Interval, MeasureSpec, TaggedPartition,
                      cousin_partition, is_fine, measure, partition_borel,
@@ -604,10 +604,9 @@ def suite_aumann(config: RunConfig) -> SuiteResult:
         F = rng.choice((rand_simple_set(rng, config, 3), ramp_band,
                         symmetric_ramp))
         mix = rng.choice(default_mixes(F))
-        ok &= selection_is_valid(Selection(F, normalize_mix(mix)), grid)
+        ok &= selection_is_valid(selection(F, normalize_mix(mix)), grid)
     try:
-        Selection(ConstantSet(rand_interval(rng, config)),
-                  normalize_mix(2.0)).integrand()
+        selection(ConstantSet(rand_interval(rng, config)), normalize_mix(2.0))
         out.add("mix_range_rejected", 1, False)
     except ValueError:
         out.add("mix_range_rejected", 1, True)

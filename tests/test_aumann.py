@@ -1,7 +1,7 @@
 import pytest
 
-from rieszgauge.aumann import (Selection, aumann_integral, comparison_simple,
-                               default_mixes, selection_is_valid)
+from rieszgauge.aumann import (aumann_integral, comparison_simple,
+                               default_mixes, selection, selection_is_valid)
 from rieszgauge.domain import BorelSet, MeasureSpec
 from rieszgauge.errors import EmptySelectionFamily
 from rieszgauge.integrands import PointwiseScalar, SCALAR_FORMS
@@ -26,14 +26,13 @@ TWO_PIECE = SimpleSet(((BorelSet.from_pairs([[0.0, 0.5]]),
 def test_selection_endpoints_are_valid():
     F = ConstantSet(OrderInterval(Scalar(0.0), Scalar(1.0)))
     for lam in (0.0, 1.0, 0.25):
-        sel = Selection(F, ((WHOLE, lam),))
-        assert selection_is_valid(sel, GRID)
+        assert selection_is_valid(selection(F, ((WHOLE, lam),)), GRID)
 
 
 def test_selection_out_of_range_mix_rejected():
     F = ConstantSet(OrderInterval(Scalar(0.0), Scalar(1.0)))
     with pytest.raises(ValueError):
-        Selection(F, ((WHOLE, 2.0),)).integrand()
+        selection(F, ((WHOLE, 2.0),))
 
 
 def test_aumann_constant_band():

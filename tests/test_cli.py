@@ -191,6 +191,27 @@ def test_suite_measure_passes_under_c00():
     assert validated(proc.stdout)["passed"] is True
 
 
+def test_vector_and_c00_values_in_piece_specs():
+    # pieces split at the commas outside [] and {}, so a piece value may be
+    # a JSON vector or c00 object
+    golden = REPO / "tests" / "golden" / "cli"
+    proc = run_cli("--config", str(golden / "vector2.ini"), "phi",
+                   "--F", "const:[0, 0],[1, 1]", "--member", "[0.5, 1]")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "member\n"
+    assert validated(proc.stdout)["member"]["verdict"] is True
+    proc = run_cli("--config", str(golden / "c00.ini"), "integrate", "--f",
+                   'simple:0,0.5,{"1": 2, "2": 1};0.5,1,{"1": 1}')
+    assert proc.returncode == 0, proc.stderr
+    assert validated(proc.stdout)["value"] == {"kind": "c00",
+                                               "entries": {"1": 1.5}}
+    proc = run_cli("--config", str(golden / "vector2.ini"), "integrate",
+                   "--f", "simple:0,0.5,[2, 1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_compact_json_flag():
     proc = run_cli("integrate", "--f", "const:1", "--json")
     assert proc.returncode == 0

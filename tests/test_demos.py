@@ -1,0 +1,22 @@
+"""Every demo under ``demos/`` runs to the end without an error."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+DEMOS = sorted((REPO / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rieszgauge.domain import (ANCHORED_KAPPA, AnchoredRadius, BorelSet,
-                               Gauge, Interval, MeasureSpec, TaggedPartition,
+                               ConstantRadius, Gauge, Interval, MeasureSpec,
+                               TaggedPartition, _random_fine_partition,
                                cousin_partition, is_fine, iter_fine_partitions,
                                measure, partition_borel, regularity_witness,
                                sigma_additivity_check)
@@ -313,6 +314,20 @@ def test_sub_resolution_cousin_partition_raises():
     # it used to return no cells, and is_fine said True
     with pytest.raises(EnvelopeTooSmall, match="float resolution"):
         cousin_partition(Gauge.constant(1e-13), Interval(0, 1e-9))
+
+
+def test_sub_resolution_sliver_raises_when_not_fine():
+    # a wrong floor declaration gets past the gauge's own check; the
+    # builders used to drop every sliver, returning no cells (is_fine True,
+    # covers False), and now raise on the first one that is not fine
+    gauge = Gauge(ConstantRadius(1e-13), (), 1e-3)
+    E = BorelSet.from_pairs([[0.0, 1e-9]])
+    with pytest.raises(DepthExceeded, match="below float resolution"):
+        cousin_partition(gauge, Interval(0.0, 1e-9))
+    for s in range(6):
+        with pytest.raises(DepthExceeded, match="below float resolution"):
+            _random_fine_partition(gauge, E, random.Random(f"sliver:{s}"),
+                                   48, 10)
 
 
 def test_regularity_witness_bookkeeping_example():

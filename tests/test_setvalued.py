@@ -1,12 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from rieszgauge.config import load_config
 from rieszgauge.domain import BorelSet, Gauge, MeasureSpec, partition_borel
 from rieszgauge.errors import (EmptyFamily, NegativeScaleUnsupported,
                                PiecesOverlap, UnboundedMultifunction,
                                ZeroNotInValues)
-from rieszgauge.integrands import (CounterexampleC00, PointwiseScalar,
-                                   SCALAR_FORMS)
+from rieszgauge.integrands import (CounterexampleC00, PieceLookup,
+                                   PointwiseScalar, SCALAR_FORMS,
+                                   piece_boundaries)
 from rieszgauge.integrate import kh_integrate
 from rieszgauge.regulators import (Geometric, max_envelope, min_envelope,
                                    standard_probes)
@@ -17,7 +21,8 @@ from rieszgauge.setvalued import (ConstantSet, IntervalValued, OrderInterval,
                                   phi_monotonicity_check,
                                   respects_global_bound, riemann_set_sum,
                                   set_scale, singleton_multifunction)
-from rieszgauge.values import Scalar, leq, mul
+from rieszgauge.suites import rand_interval, rand_simple_set
+from rieszgauge.values import Scalar, leq, mul, zero_like
 
 SPEC = MeasureSpec(Scalar(1.0))
 REG = Geometric(Scalar(1.0), 0.5, 0.5)
@@ -201,3 +206,66 @@ def test_interval_valued_requires_pointwise_order():
     with pytest.raises(ValueError):
         IntervalValued(PointwiseScalar(SCALAR_FORMS["t"], Scalar(1.0)),
                        PointwiseScalar(SCALAR_FORMS["half_t"], Scalar(1.0)))
+
+
+# ConstantSet's and SimpleSet's own formulas for the methods that
+# Multifunction now derives from the end integrands, kept as the reference.
+
+def _constant_reference(F):
+    C = F.value
+    return {"value_at": lambda t: C,
+            "bound": abs(C.lo).join(abs(C.hi)),
+            "boundary_points": (),
+            "interior_modulus": 0.0,
+            "zero_value": zero_like(C.lo)}
+
+
+def _simple_reference(F):
+    zero = zero_like(F.pieces[0][1].lo)
+    lookup = PieceLookup(F.pieces)
+    bound = zero
+    for _, C in F.pieces:
+        bound = bound.join(abs(C.lo)).join(abs(C.hi))
+
+    def value_at(t):
+        C = lookup.get(t)
+        return C if C is not None else OrderInterval.singleton(zero)
+    return {"value_at": value_at,
+            "bound": bound,
+            "boundary_points": piece_boundaries(F.pieces),
+            "interior_modulus": 0.0,
+            "zero_value": zero}
+
+
+def _touching_simple_set(rng, config, centered):
+    """Pieces that share their endpoints, where the earliest piece wins."""
+    cuts = sorted(rng.sample(range(129), rng.randint(2, 6)))
+    return SimpleSet(tuple(
+        (BorelSet.from_pairs([[a / 128.0, b / 128.0]]),
+         rand_interval(rng, config, centered))
+        for a, b in zip(cuts, cuts[1:])))
+
+
+@pytest.mark.parametrize("space", ["scalar", "vector:2", "c00"])
+def test_derived_methods_match_family_formulas(space):
+    config = load_config(None, {"value_space": space})
+    rng = random.Random(f"derived:{space}")
+    grid = [i / 128.0 for i in range(129)]
+    for _ in range(200):
+        centered = rng.random() < 0.5
+        kind = rng.random()
+        if kind < 1 / 3:
+            F = ConstantSet(rand_interval(rng, config, centered))
+            ref = _constant_reference(F)
+        else:
+            if kind < 2 / 3:
+                F = rand_simple_set(rng, config, 5, centered)
+            else:
+                F = _touching_simple_set(rng, config, centered)
+            ref = _simple_reference(F)
+        assert F.lower is F.lower and F.upper is F.upper
+        for name in ("bound", "boundary_points", "interior_modulus",
+                     "zero_value"):
+            assert repr(getattr(F, name)()) == repr(ref[name]), name
+        for t in (*ref["boundary_points"], *grid):
+            assert repr(F.value_at(t)) == repr(ref["value_at"](t)), t
