@@ -21,6 +21,10 @@ from .values import ORDER_SLACK, RieszValue, leq, zero_like
 
 _EPS = 1e-12
 
+#: The most pieces the fills of one partition may visit, counting each
+#: piece a split makes; a gauge that needs more is too small to sample.
+NODE_BUDGET = 2 ** 20
+
 #: The slope of anchored gauges; below 1, so that no fine cell can straddle
 #: an anchor it is not tagged at.
 ANCHORED_KAPPA = 0.9
@@ -482,27 +486,50 @@ def _carve_mandatory(gauge: Gauge, lo: float, hi: float, shrink=None) -> list:
     return pieces
 
 
-def _fill_canonical(radius, a: float, b: float, depth: int, max_depth: int,
-                    out: list):
-    """Bisect [a, b] until each piece fits the ball of one of its midpoint,
-    right, or left endpoint (preferred in that order).  ``radius`` is that of
-    :meth:`Gauge.on_gap`.  A piece of width at most ``_EPS`` is dropped
-    when it is fine at its midpoint and raises DepthExceeded otherwise."""
-    if b - a <= _EPS:
-        _check_sliver(radius, a, b)
-        return
+def _fill_canonical(radius, lo: float, hi: float, max_depth: int,
+                    nodes: int, out: list) -> int:
+    """Bisect [lo, hi], depth first and left piece first, until each piece
+    fits the ball of its midpoint, right or left endpoint (preferred in that
+    order); append the cells to ``out`` and return what is left of the node
+    budget ``nodes``.  ``radius`` is that of :meth:`Gauge.on_gap`; a float
+    one is tried at the midpoint only, since rounding is monotone:
+    ``fl(b - a) >= max(fl(mid - a), fl(b - mid))``.  A piece of width at
+    most ``_EPS`` is dropped when it is fine at its midpoint and raises
+    DepthExceeded otherwise."""
     gamma = radius if callable(radius) else None
-    for tag in (0.5 * (a + b), b, a):
-        if max(tag - a, b - tag) < (radius if gamma is None else gamma(tag)):
+    stack = [(lo, hi, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        a, b, depth = pop()
+        if b - a <= _EPS:
+            _check_sliver(radius, a, b)
+            continue
+        mid = 0.5 * (a + b)
+        if gamma is None:
+            tag = mid if mid - a < radius and b - mid < radius else None
+        elif max(mid - a, b - mid) < gamma(mid):
+            tag = mid
+        else:
+            tag = b if b - a < gamma(b) else a if b - a < gamma(a) else None
+        if tag is not None:
             out.append((a, b, tag))
-            return
-    if depth >= max_depth:
-        raise DepthExceeded(
-            f"no fine cell for [{a}, {b}] within depth {max_depth}; "
-            "the gauge floor declaration looks wrong")
-    mid = 0.5 * (a + b)
-    _fill_canonical(radius, a, mid, depth + 1, max_depth, out)
-    _fill_canonical(radius, mid, b, depth + 1, max_depth, out)
+            continue
+        if depth >= max_depth:
+            raise DepthExceeded(
+                f"no fine cell for [{a}, {b}] within depth {max_depth}; "
+                "the gauge floor declaration looks wrong")
+        nodes -= 2
+        if nodes < 0:
+            raise _over_budget()
+        push((mid, b, depth + 1))
+        push((a, mid, depth + 1))
+    return nodes
+
+
+def _over_budget() -> EnvelopeTooSmall:
+    return EnvelopeTooSmall(
+        f"a fine partition needs more than {NODE_BUDGET} pieces: the gauge "
+        "is too small to sample")
 
 
 def _check_sliver(radius, a: float, b: float):
@@ -516,17 +543,24 @@ def _check_sliver(radius, a: float, b: float):
             "midpoint; the gauge floor declaration looks wrong")
 
 
-def _cousin_cells(gauge: Gauge, lo: float, hi: float, max_depth: int,
-                  out: list):
-    """Append the canonical fine cells of [lo, hi] to ``out`` in order."""
+def _component_pieces(gauge: Gauge, lo: float, hi: float,
+                      shrink=None) -> list:
+    """The pieces of :func:`_carve_mandatory` for the component [lo, hi].
+    A component no wider than ``_EPS`` is one cell instead, tagged at its
+    mandatory tag if it holds one and otherwise at its midpoint, which
+    raises DepthExceeded when it is not fine there."""
     if hi - lo <= 0.0:
-        out.append((lo, hi, lo))
-        return
-    for piece in _carve_mandatory(gauge, lo, hi):
-        if len(piece) == 3:
-            out.append(piece)
-        else:
-            _fill_canonical(gauge.on_gap(*piece), *piece, 0, max_depth, out)
+        return [(lo, hi, lo)]
+    pieces = _carve_mandatory(gauge, lo, hi, shrink)
+    if hi - lo > _EPS:
+        return pieces
+    tag = min((p for p in gauge.mandatory_tags if lo <= p <= hi),
+              default=0.5 * (lo + hi))
+    if not max(tag - lo, hi - tag) < gauge.gamma(tag):
+        raise DepthExceeded(
+            f"the component [{lo}, {hi}] is below float resolution and not "
+            f"fine at its tag {tag}")
+    return [(lo, hi, tag)]
 
 
 def cousin_partition(gauge: Gauge, E: Interval, max_depth: int = 48) -> TaggedPartition:
@@ -537,23 +571,28 @@ def cousin_partition(gauge: Gauge, E: Interval, max_depth: int = 48) -> TaggedPa
     bisected until they fit, which terminates because the gauge has a
     positive floor away from the mandatory tags.
     """
-    out: list = []
-    _cousin_cells(gauge, E.lo, E.hi, max_depth, out)
-    return TaggedPartition.from_triples(out)
+    return partition_borel(gauge, BorelSet((E,)), max_depth)
 
 
 def partition_borel(gauge: Gauge, E: BorelSet, max_depth: int = 48) -> TaggedPartition:
     """Concatenated fine partitions of every component of a Borel set."""
     out: list = []
+    nodes = NODE_BUDGET
     for comp in E.components:
-        _cousin_cells(gauge, comp.lo, comp.hi, max_depth, out)
+        for piece in _component_pieces(gauge, comp.lo, comp.hi):
+            if len(piece) == 3:
+                out.append(piece)
+            else:
+                nodes = _fill_canonical(gauge.on_gap(*piece), *piece,
+                                        max_depth, nodes, out)
     return TaggedPartition.from_triples(out)
 
 
 def _fill_random(radius, lo: float, hi: float, rng: random.Random,
-                 max_depth: int, split_budget: int, out: list) -> int:
+                 max_depth: int, split_budget: int, nodes: int,
+                 out: list) -> tuple[int, int]:
     """Append seeded random fine cells tiling [lo, hi] to ``out`` and return
-    the split budget left over.
+    the split budget and the node budget left over.
 
     Each piece draws a random tag, then falls back to its midpoint, right and
     left endpoint; a piece that fits is split anyway now and then while the
@@ -620,9 +659,12 @@ def _fill_random(radius, lo: float, hi: float, rng: random.Random,
             if step > 0.7 * width:
                 step = 0.7 * width
             cut = a + step if ga >= gb else b - step
+        nodes -= 2
+        if nodes < 0:
+            raise _over_budget()
         push((cut, b, depth + 1, known, gb))
         push((a, cut, depth + 1, ga, known))
-    return split_budget
+    return split_budget, nodes
 
 
 def _random_fine_partition(gauge: Gauge, E: BorelSet, rng: random.Random,
@@ -630,18 +672,16 @@ def _random_fine_partition(gauge: Gauge, E: BorelSet, rng: random.Random,
     """Each component's carved cells, with shrinks drawn before any fill,
     and random fills of the gaps between them, in cell order."""
     out: list = []
+    nodes = NODE_BUDGET
     for comp in E.components:
-        lo, hi = comp.lo, comp.hi
-        if hi - lo <= 0.0:
-            out.append((lo, hi, lo))
-            continue
-        for piece in _carve_mandatory(
-                gauge, lo, hi, lambda p: rng.uniform(0.5, 0.999)):
+        for piece in _component_pieces(gauge, comp.lo, comp.hi,
+                                       lambda p: rng.uniform(0.5, 0.999)):
             if len(piece) == 3:
                 out.append(piece)
             else:
-                split_budget = _fill_random(gauge.on_gap(*piece), *piece, rng,
-                                            max_depth, split_budget, out)
+                split_budget, nodes = _fill_random(
+                    gauge.on_gap(*piece), *piece, rng, max_depth,
+                    split_budget, nodes, out)
     return TaggedPartition.from_triples(out)
 
 

@@ -9,6 +9,7 @@ counterexample that takes the n-th unit sequence at the points 1/n.
 from __future__ import annotations
 
 import bisect as _bisect
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
@@ -154,6 +155,11 @@ class Integrand:
         value_at = self.value_at
         return lambda t: coordinates(value_at(t), like, keys)
 
+    def columns(self, like: RieszValue, keys: tuple, tags) -> list:
+        """The values at the nonempty list ``tags`` as one float column per
+        key: :meth:`compile` at each tag, transposed."""
+        return list(zip(*map(self.compile(like, keys), tags)))
+
     def zero_value(self) -> RieszValue:
         """Zero of the integrand's value lattice."""
         raise NotImplementedError
@@ -197,6 +203,10 @@ class ConstantIntegrand(Integrand):
     def compile(self, like, keys):
         c = coordinates(self.value, like, keys)
         return lambda t: c
+
+    def columns(self, like, keys, tags):
+        n = len(tags)
+        return [[x] * n for x in coordinates(self.value, like, keys)]
 
     def zero_value(self):
         return zero_like(self.value)
@@ -297,6 +307,12 @@ class PointwiseScalar(Integrand):
             s = coeff * fn(t)
             return tuple([x * s for x in direction])
         return at
+
+    def columns(self, like, keys, tags):
+        fn, coeff = self.form.fn, self.coeff
+        scales = [coeff * fn(t) for t in tags]
+        return [[x * s for s in scales]
+                for x in coordinates(self.direction, like, keys)]
 
     def zero_value(self):
         return zero_like(self.direction)
@@ -399,7 +415,8 @@ class CounterexampleC00(Integrand):
     refused by the certifying integrator."""
 
     def value_at(self, t):
-        if t > 0.0:
+        # below about 5.6e-309, 1 / t overflows: no 1 / n is that small
+        if t > 0.0 and math.isfinite(1.0 / t):
             n = round(1.0 / t)
             if n >= 1 and 1.0 / n == t:
                 return SparseSeq({n: 1.0})

@@ -9,8 +9,10 @@ partitions is sampled, never enumerated.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import cycle
 
 from .domain import (BorelSet, Gauge, Interval, MeasureSpec, TaggedPartition,
                      cousin_partition, is_fine, iter_fine_partitions)
@@ -38,51 +40,67 @@ def as_borel(E) -> BorelSet:
 def riemann_sum(f: Integrand, part: TaggedPartition, spec: MeasureSpec) -> RieszValue:
     """The tagged sum ``sum_i f(tag_i) * mu(cell_i)``, taken in coordinates
     in cell order (see :func:`weighted_sums`)."""
-    total, = weighted_sums(f.compile, f.zero_value(), part, spec, 1,
+    total, = weighted_sums(f, f.zero_value(), part, spec, 1,
                            lambda t: (f.value_at(t),))
     return total
 
 
-def _coordinate_sum(at, part: TaggedPartition, weights, start) -> list[float]:
-    """``start[k] + sum_i at(tag_i)[k] * (weights[k] * length_i)`` for every
-    coordinate ``k``, added cell by cell in cell order, as a lattice value
-    would be; cells of length zero are skipped before their tag is
-    evaluated."""
+#: Cells per column block of a sum, which bounds the columns held at once.
+_BLOCK = 1024
+
+
+def _coordinate_sum(family, like, keys, part: TaggedPartition, weights,
+                    start) -> list[float]:
+    """``start[k] + sum_i v(tag_i)[k] * (w[k] * length_i)`` for every
+    coordinate ``k`` of ``family``'s values over ``keys``, with ``w`` the
+    per-key ``weights`` repeated over the runs of ``start``, added in cell
+    order as a lattice value would be; cells of length zero are dropped
+    before their tag is evaluated.  One coordinate, as in every scalar
+    Riemann sum, is added in one loop through :meth:`compile`; more are
+    folded one column at a time, per block of cells, through
+    :meth:`columns`, which adds the same floats in the same order."""
+    triples = part.triples
     if len(start) == 1:
-        # one coordinate, as in every scalar Riemann sum: no inner loop
+        at = family.compile(like, keys)
         (acc,), (w,) = start, weights
-        for lo, hi, tag in part.triples:
+        for lo, hi, tag in triples:
             ln = hi - lo
             if ln != 0.0:
                 acc = acc + at(tag)[0] * (w * ln)
         return [acc]
     acc = list(start)
-    coords = range(len(acc))
-    for lo, hi, tag in part.triples:
-        ln = hi - lo
-        if ln != 0.0:
-            v = at(tag)
-            for k in coords:
-                acc[k] = acc[k] + v[k] * (weights[k] * ln)
+    for i in range(0, len(triples), _BLOCK):
+        block = triples[i:i + _BLOCK]
+        lengths = [hi - lo for lo, hi, _ in block if hi != lo]
+        if not lengths:
+            continue
+        columns = family.columns(like, keys, [tag for lo, hi, tag in block
+                                              if hi != lo])
+        # once per key and block; 1.0 * length is the length itself
+        scaled = [lengths if w == 1.0 else [w * ln for ln in lengths]
+                  for w in weights]
+        acc = [reduce(operator.add, map(operator.mul, col, wl), s)
+               for col, wl, s in zip(columns, cycle(scaled), acc)]
     return acc
 
 
-def weighted_sums(compile_at, zero: RieszValue, part: TaggedPartition,
+def weighted_sums(family, zero: RieszValue, part: TaggedPartition,
                   spec: MeasureSpec, copies: int, values_at) -> list[RieszValue]:
     """The Riemann sums of ``copies`` functions at once, for values in the
     lattice of ``zero``.
 
-    ``compile_at(like, keys)`` gives a closure from a tag to the floats of
-    all ``copies`` values over ``keys``, one run of keys after another.
-    Scalars keep the formula ``(sum value * length) * m0``; other lattices
-    add ``value * (m0 * length)`` per coordinate, starting from
-    ``zero * m0``.  A sequence under a scalar generator has no fixed keys:
-    they are the supports that ``values_at(tag)`` reaches over the cells.
+    ``family`` gives the floats of all ``copies`` values over ``keys``, one
+    run of keys after another, through ``compile(like, keys)`` per tag or
+    ``columns(like, keys, tags)`` per coordinate.  Scalars keep the formula
+    ``(sum value * length) * m0``; other lattices add
+    ``value * (m0 * length)`` per coordinate, starting from ``zero * m0``.
+    A sequence under a scalar generator has no fixed keys: they are the
+    supports that ``values_at(tag)`` reaches over the cells.
     """
     m0 = spec.m0
     if isinstance(m0, Scalar) and isinstance(zero, Scalar):
-        sums = _coordinate_sum(compile_at(zero, (0,)), part,
-                               (1.0,) * copies, (0.0,) * copies)
+        sums = _coordinate_sum(family, zero, (0,), part, (1.0,),
+                               (0.0,) * copies)
         return [Scalar(s * m0.value) for s in sums]
     like = mul(zero, m0)
     if isinstance(like, Vector):
@@ -94,8 +112,8 @@ def weighted_sums(compile_at, zero: RieszValue, part: TaggedPartition,
                              if hi - lo != 0.0
                              for v in values_at(tag)
                              for k, _ in v.nonzero_coords()}))
-    sums = _coordinate_sum(compile_at(like, keys), part,
-                           coordinates(m0, like, keys) * copies,
+    sums = _coordinate_sum(family, like, keys, part,
+                           coordinates(m0, like, keys),
                            coordinates(like, like, keys) * copies)
     n = len(keys)
     return [from_coordinates(like, keys, sums[j * n:(j + 1) * n])

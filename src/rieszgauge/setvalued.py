@@ -20,8 +20,8 @@ from .domain import (BorelSet, Gauge, MeasureSpec, TaggedPartition,
                      iter_fine_partitions)
 from .errors import (EmptyFamily, EmptyProbeSet, NegativeScaleUnsupported,
                      PiecesOverlap, UnboundedMultifunction, ZeroNotInValues)
-from .integrands import (_GRID, ConstantIntegrand, CoordinateMap, Integrand,
-                         SimpleIntegrand, disjoint_lookup)
+from .integrands import (_GRID, ConstantIntegrand, Integrand, SimpleIntegrand,
+                         disjoint_lookup)
 from .integrate import as_borel, kh_integrate, weighted_sums
 from .regulators import Regulator, Scaled, SumPair, envelope, max_envelope
 from .values import (ORDER_SLACK, RieszValue, SparseSeq, clamp, coordinates,
@@ -106,14 +106,29 @@ class Multifunction:
     def value_at(self, t: float) -> OrderInterval:
         return OrderInterval(self.lower.value_at(t), self.upper.value_at(t))
 
-    def compile(self, like: RieszValue, keys: tuple) -> CoordinateMap:
-        """The value interval at a tag as the floats of its lower end over
-        ``keys`` followed by those of its upper end, compiled once per
-        set-sum; a tag whose interval has ``lo > hi`` raises ValueError as
-        :class:`OrderInterval` does.  This default reads :meth:`value_at`,
-        as :meth:`Integrand.compile` does."""
-        value_at = self.value_at
-        return lambda t: value_at(t).coordinates(like, keys)
+    def columns(self, like: RieszValue, keys: tuple, tags) -> list:
+        """The value intervals at the nonempty list ``tags`` as one float
+        column per key of the lower end followed by one per key of the upper
+        end, from the ends' own columns; a tag whose interval has
+        ``lo > hi`` raises ValueError as :class:`OrderInterval` does."""
+        # the order is checked on every coordinate either end can reach, so
+        # in a sequence space also where the measure vanishes
+        n = len(keys)
+        if isinstance(like, SparseSeq):
+            try:
+                bound = self.bound()
+            except UnboundedMultifunction:
+                value_at = self.value_at
+                return list(zip(*(value_at(t).coordinates(like, keys)
+                                  for t in tags)))
+            keys = keys + tuple(k for k, _ in bound.nonzero_coords()
+                                if k not in keys)
+        lower = self.lower.columns(like, keys, tags)
+        upper = self.upper.columns(like, keys, tags)
+        for lo, hi in zip(lower, upper):
+            if not all(map(operator.le, lo, hi)):
+                raise ValueError(_ORDER_MESSAGE)
+        return lower[:n] + upper[:n]
 
     def boundary_points(self) -> tuple[float, ...]:
         """The jump points of either end, sorted."""
@@ -122,8 +137,13 @@ class Multifunction:
         return tuple(sorted(pts))
 
     def bound(self) -> RieszValue:
-        """An L >= 0 with every value inside [-L, L]."""
-        return self.lower.sup_bound().join(self.upper.sup_bound())
+        """An L >= 0 with every value inside [-L, L], computed once per
+        (frozen) instance; with no bound, every call raises."""
+        memo = vars(self)
+        if "_bound" not in memo:
+            memo["_bound"] = self.lower.sup_bound().join(
+                self.upper.sup_bound())
+        return memo["_bound"]
 
     def interior_modulus(self) -> float:
         """Lipschitz modulus of the endpoint functions away from boundaries."""
@@ -152,10 +172,6 @@ class ConstantSet(Multifunction):
         object.__setattr__(self, "lower", ConstantIntegrand(self.value.lo))
         object.__setattr__(self, "upper", ConstantIntegrand(self.value.hi))
 
-    def compile(self, like, keys):
-        c = self.value.coordinates(like, keys)
-        return lambda t: c
-
     def contains_zero(self):
         return self.value.contains_value(self.zero_value())
 
@@ -180,10 +196,12 @@ class SimpleSet(Multifunction):
         object.__setattr__(self, "upper", SimpleIntegrand(
             tuple((s, C.hi) for s, C in self.pieces)))
 
-    def compile(self, like, keys):
-        return self._lookup.compile(
-            lambda C: C.coordinates(like, keys),
-            coordinates(self.zero_value(), like, keys) * 2)
+    def columns(self, like, keys, tags):
+        # one lookup per tag, not one per end; every piece's interval was
+        # checked when it was built
+        zero = coordinates(self.zero_value(), like, keys)
+        at = self._lookup.compile(lambda C: C.coordinates(like, keys), zero * 2)
+        return list(zip(*map(at, tags)))
 
     def contains_zero(self):
         zero = self.zero_value()
@@ -208,29 +226,6 @@ class IntervalValued(Multifunction):
                        ORDER_SLACK):
                 raise ValueError(f"lower exceeds upper at t = {t}")
 
-    def compile(self, like, keys):
-        # the order is checked on every coordinate either end can reach, so
-        # in a sequence space also where the measure vanishes
-        n = len(keys)
-        if isinstance(like, SparseSeq):
-            try:
-                bound = self.bound()
-            except UnboundedMultifunction:
-                return super().compile(like, keys)
-            keys = keys + tuple(k for k, _ in bound.nonzero_coords()
-                                if k not in keys)
-        lower = self.lower.compile(like, keys)
-        upper = self.upper.compile(like, keys)
-        le = operator.le
-
-        def at(t):
-            lo = lower(t)
-            hi = upper(t)
-            if not all(map(le, lo, hi)):
-                raise ValueError(_ORDER_MESSAGE)
-            return lo[:n] + hi[:n]
-        return at
-
     def contains_zero(self):
         zero = self.zero_value()
         pts = set(_GRID) | set(self.boundary_points())
@@ -253,18 +248,13 @@ def singleton_multifunction(f: Integrand) -> Multifunction:
 def riemann_set_sum(F: Multifunction, part: TaggedPartition,
                     spec: MeasureSpec) -> OrderInterval:
     """Dot-sum over cells of the value interval at the tag scaled by the cell
-    measure.
-
-    The sum is taken in coordinates, in cell order: each coordinate of each
-    end adds ``value * (m0 * length)`` cell by cell, scalars keep the formula
-    ``(sum value * length) * m0``, and a lattice value and an order interval
-    are built once per partition (see :func:`~rieszgauge.integrate.weighted_sums`).
-    For finite values the result equals the dot-sum of the per-cell
-    intervals bit for bit, and a tag whose value interval has ``lo > hi``
-    raises ValueError as the per-cell interval would.
+    measure, taken in coordinates and in cell order (see
+    :func:`~rieszgauge.integrate.weighted_sums`).  For finite values it
+    equals the dot-sum of the per-cell intervals bit for bit, and a tag whose
+    value interval has ``lo > hi`` raises ValueError as that interval would.
     """
     ends = (F.lower, F.upper)
-    lo, hi = weighted_sums(F.compile, F.zero_value(), part, spec, 2,
+    lo, hi = weighted_sums(F, F.zero_value(), part, spec, 2,
                            lambda t: [f.value_at(t) for f in ends])
     return OrderInterval(lo, hi)
 

@@ -268,6 +268,18 @@ def test_sub_resolution_gauges_exit_2(args):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("form", ["square", "t"])
+def test_gauges_too_small_to_sample_exit_2(form):
+    # const:20 needs more than 2**20 partition pieces: square used to run
+    # past 10 s, and t built a 2**21-cell partition for about 7 s
+    proc = run_cli("integrate", "--f", form, "--probes", "const:20",
+                   timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "more than 1048576 pieces" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_probe_override():
     proc = run_cli("integrate", "--f", "t", "--probes", "const:3,identity")
     assert proc.returncode == 0

@@ -1,0 +1,207 @@
+"""The partition builders' walks: the canonical bisection against the
+recursive walk it replaced, kept here as the reference; the node budget
+that stops a gauge too small to sample; and components too narrow to cut,
+which become one cell or raise."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rieszgauge import domain
+from rieszgauge.domain import (BorelSet, ConstantRadius, Gauge, Interval,
+                               _carve_mandatory, _random_fine_partition,
+                               cousin_partition, is_fine, partition_borel)
+from rieszgauge.errors import DepthExceeded, EnvelopeTooSmall
+
+_EPS = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the reference: the recursive canonical walk
+# ---------------------------------------------------------------------------
+
+def reference_fill(radius, a, b, depth, max_depth, out):
+    if b - a <= _EPS:
+        mid = 0.5 * (a + b)
+        r = radius(mid) if callable(radius) else radius
+        if not max(mid - a, b - mid) < r:
+            raise DepthExceeded(
+                f"[{a}, {b}] is below float resolution and not fine at its "
+                "midpoint; the gauge floor declaration looks wrong")
+        return
+    gamma = radius if callable(radius) else None
+    for tag in (0.5 * (a + b), b, a):
+        if max(tag - a, b - tag) < (radius if gamma is None else gamma(tag)):
+            out.append((a, b, tag))
+            return
+    if depth >= max_depth:
+        raise DepthExceeded(
+            f"no fine cell for [{a}, {b}] within depth {max_depth}; "
+            "the gauge floor declaration looks wrong")
+    mid = 0.5 * (a + b)
+    reference_fill(radius, a, mid, depth + 1, max_depth, out)
+    reference_fill(radius, mid, b, depth + 1, max_depth, out)
+
+
+def reference_cousin(gauge, lo, hi, max_depth):
+    if hi - lo <= 0.0:
+        return [(lo, hi, lo)]
+    if hi - lo <= _EPS:
+        # a component too narrow to cut is one cell (see below), which the
+        # recursive walk never saw
+        tags = sorted(p for p in gauge.mandatory_tags if lo <= p <= hi)
+        tag = tags[0] if tags else 0.5 * (lo + hi)
+        if not max(tag - lo, hi - tag) < gauge.gamma(tag):
+            raise DepthExceeded(
+                f"the component [{lo}, {hi}] is below float resolution and "
+                f"not fine at its tag {tag}")
+        return [(lo, hi, tag)]
+    out = []
+    for piece in _carve_mandatory(gauge, lo, hi):
+        if len(piece) == 3:
+            out.append(piece)
+        else:
+            reference_fill(gauge.on_gap(*piece), *piece, 0, max_depth, out)
+    return out
+
+
+def outcome(build):
+    """The triples ``build()`` returns, or the type and message it raises."""
+    try:
+        return build()
+    except DepthExceeded as exc:
+        return (DepthExceeded, str(exc))
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def gauges(draw):
+    kind = draw(st.sampled_from(["constant", "piecewise", "anchored"]))
+    if kind == "constant":
+        tags = draw(st.lists(unit, max_size=3))
+        return Gauge.constant(draw(st.floats(1e-3, 0.6)), mandatory_tags=tags)
+    if kind == "piecewise":
+        breaks = sorted(set(draw(st.lists(st.floats(0.01, 0.99),
+                                          max_size=4))))
+        values = draw(st.lists(st.floats(1e-3, 0.6), min_size=len(breaks) + 1,
+                               max_size=len(breaks) + 1))
+        return Gauge.piecewise([0.0, *breaks, 1.0], values,
+                               mandatory_tags=draw(st.lists(unit, max_size=2)))
+    anchors = draw(st.lists(unit, min_size=1, max_size=5))
+    return Gauge.anchored(anchors, draw(st.floats(1e-6, 0.1)),
+                          cap=draw(st.sampled_from([0.25, 0.01])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gauges(), st.tuples(unit, unit).map(sorted),
+       st.sampled_from([3, 8, 48]))
+def test_canonical_walk_matches_recursive_reference(gauge, ends, max_depth):
+    lo, hi = ends
+    got = outcome(lambda: cousin_partition(gauge, Interval(lo, hi),
+                                           max_depth).triples)
+    want = outcome(lambda: tuple(reference_cousin(gauge, lo, hi, max_depth)))
+    assert got == want
+
+
+def test_canonical_walk_raises_as_the_reference_does():
+    # too deep: the floor is declared, but depth 8 cannot reach it
+    gauge = Gauge(ConstantRadius(1e-9), (), 1e-9)
+    with pytest.raises(DepthExceeded) as got:
+        cousin_partition(gauge, Interval(0.0, 1.0), max_depth=8)
+    with pytest.raises(DepthExceeded) as want:
+        reference_cousin(gauge, 0.0, 1.0, 8)
+    assert str(got.value) == str(want.value)
+    # a sliver that is not fine at its midpoint, under a wrong floor
+    gauge = Gauge(ConstantRadius(1e-13), (), 1e-3)
+    with pytest.raises(DepthExceeded, match="below float resolution") as got:
+        cousin_partition(gauge, Interval(0.0, 1e-9))
+    with pytest.raises(DepthExceeded) as want:
+        reference_cousin(gauge, 0.0, 1e-9, 48)
+    assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# the node budget
+# ---------------------------------------------------------------------------
+
+def test_node_budget_bounds_the_canonical_walk(monkeypatch):
+    # 2**k cells of [0, 1] cost 2**(k + 1) - 2 pieces below the whole
+    monkeypatch.setattr(domain, "NODE_BUDGET", 62)
+    whole = Interval(0.0, 1.0)
+    assert len(cousin_partition(Gauge.constant(0.75 / 32), whole)) == 32
+    with pytest.raises(EnvelopeTooSmall, match="more than 62 pieces"):
+        cousin_partition(Gauge.constant(0.75 / 64), whole)
+    # the budget is per partition, shared by its components
+    halves = BorelSet.from_pairs([[0.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(EnvelopeTooSmall, match="more than 62 pieces"):
+        partition_borel(Gauge.constant(0.75 / 64), halves)
+
+
+def test_node_budget_bounds_the_random_walk(monkeypatch):
+    gauge = Gauge.constant(0.01)
+    whole = BorelSet.whole()
+    assert is_fine(_random_fine_partition(gauge, whole, random.Random(3),
+                                          48, 2), gauge)
+    monkeypatch.setattr(domain, "NODE_BUDGET", 16)
+    with pytest.raises(EnvelopeTooSmall, match="more than 16 pieces"):
+        _random_fine_partition(gauge, whole, random.Random(3), 48, 2)
+
+
+def test_node_budget_stops_a_wrong_floor():
+    # the floor says 1e-3, the radius is 1e-11: bisection would run to
+    # depth 37, about 2**37 pieces, within the depth guard of 48
+    gauge = Gauge(ConstantRadius(1e-11), (), 1e-3)
+    with pytest.raises(EnvelopeTooSmall, match=f"{domain.NODE_BUDGET} pieces"):
+        cousin_partition(gauge, Interval(0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# components too narrow to cut
+# ---------------------------------------------------------------------------
+
+SLIVER = [0.5, 0.5 + 1e-13]
+
+
+@pytest.mark.parametrize("pairs", [[SLIVER], [[0.1, 0.4], SLIVER]])
+def test_sliver_component_is_one_cell(pairs):
+    # both builders used to return no cell for the sliver (covers False)
+    E = BorelSet.from_pairs(pairs)
+    gauge = Gauge.constant(0.1)
+    mid = 0.5 * (SLIVER[0] + SLIVER[1])
+    canonical = partition_borel(gauge, E)
+    assert canonical.triples[-1] == (*SLIVER, mid)
+    assert canonical.covers(E) and is_fine(canonical, gauge)
+    for s in range(4):
+        sampled = _random_fine_partition(gauge, E, random.Random(s), 48, 10)
+        assert sampled.triples[-1] == (*SLIVER, mid)
+        assert sampled.covers(E) and is_fine(sampled, gauge)
+
+
+def test_sliver_component_keeps_its_mandatory_tag_and_draws():
+    tag = SLIVER[0] + 4e-14
+    wide = [0.6, 0.9]
+    gauge = Gauge.constant(0.1, mandatory_tags=[tag])
+    E = BorelSet.from_pairs([SLIVER, wide])
+    assert partition_borel(gauge, E).triples[0] == (*SLIVER, tag)
+    for s in range(4):
+        sampled = _random_fine_partition(gauge, E, random.Random(s), 48, 10)
+        assert sampled.triples[0] == (*SLIVER, tag)
+        # the carve still draws its shrink for the tag, so the wide
+        # component gets the cells it would get after that one draw
+        rng = random.Random(s)
+        rng.uniform(0.5, 0.999)
+        rest = _random_fine_partition(gauge, BorelSet.from_pairs([wide]),
+                                      rng, 48, 10)
+        assert sampled.triples[1:] == rest.triples
+
+
+def test_sliver_component_raises_when_not_fine():
+    gauge = Gauge(ConstantRadius(1e-14), (), 1e-3)
+    E = BorelSet.from_pairs([SLIVER])
+    with pytest.raises(DepthExceeded, match="below float resolution"):
+        partition_borel(gauge, E)
+    with pytest.raises(DepthExceeded, match="below float resolution"):
+        _random_fine_partition(gauge, E, random.Random(0), 48, 10)

@@ -149,6 +149,21 @@ def test_membership_rejects_unbounded_multifunction():
     F = singleton_multifunction(CounterexampleC00())
     with pytest.raises(UnboundedMultifunction):
         phi_membership(Scalar(0.0), F, WHOLE, SPEC, REG, PROBES)
+    # no bound is remembered: the second call raises as well
+    for _ in range(2):
+        with pytest.raises(UnboundedMultifunction):
+            F.bound()
+
+
+def test_bound_is_computed_once_per_instance():
+    F = IntervalValued(PointwiseScalar(SCALAR_FORMS["neg_t"], Scalar(1.0)),
+                       PointwiseScalar(SCALAR_FORMS["t"], Scalar(2.0)))
+    first = F.bound()
+    assert F.bound() is first
+    assert first == F.lower.sup_bound().join(F.upper.sup_bound())
+    # the memo is no field: equality and hashing ignore it
+    twin = IntervalValued(F.lower, F.upper)
+    assert twin == F and hash(twin) == hash(F)
 
 
 def test_membership_coarse_gauges_cannot_smuggle_outsiders():

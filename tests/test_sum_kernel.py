@@ -195,7 +195,21 @@ class Draws:
         region = BorelSet.from_pairs([[cuts[i], cuts[i + 1]]
                                       for i in range(0, len(cuts) - 1, 2)])
         seed = self.draw(st.integers(0, 10 ** 6))
-        return iter_fine_partitions(gauge, region, 3, seed)
+        yield from iter_fine_partitions(gauge, region, 3, seed)
+        yield from self.edge_partitions()
+
+    def edge_partitions(self):
+        """No cell, one cell, and cells of length zero among others."""
+        yield TaggedPartition()
+        lo, hi = sorted(self.draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                           max_size=2)))
+        yield TaggedPartition.from_triples([(lo, hi, 0.5 * (lo + hi))])
+        grid = st.sampled_from([0.0, 0.125, 1.0 / 3.0, 0.5, 1.0])
+        ends = sorted(self.draw(st.lists(grid | st.floats(0.0, 1.0),
+                                         min_size=2, max_size=8)))
+        yield TaggedPartition.from_triples(
+            (a, b, self.draw(st.sampled_from([a, b, 0.5 * (a + b)])))
+            for a, b in zip(ends, ends[1:]))
 
 
 lattice_names = st.sampled_from(sorted(LATTICES))
@@ -225,6 +239,60 @@ def test_riemann_set_sum_matches_cell_by_cell_reference(data, name):
         for F in Fs:
             assert_same(riemann_set_sum(F, part, d.spec),
                         reference_riemann_set_sum(F, part, d.spec))
+
+
+def every_family(name):
+    """One integrand and one multifunction of each family in the lattice
+    ``name``, with signed and zero coordinates."""
+    m0, width, make = LATTICES[name]
+
+    def value(*xs):
+        return make([xs[k % len(xs)] for k in range(width)])
+    left, right = (BorelSet.from_pairs([[0.0, 0.5]]),
+                   BorelSet.from_pairs([[0.5, 1.0], [0.25, 0.25]]))
+    form = PointwiseScalar(SCALAR_FORMS["square"], value(1.5, -2.0, 0.25),
+                           -0.5)
+    simple = SimpleIntegrand(((left, value(1.0, -3.0, 0.0)),
+                              (right, value(-0.0, 2.5))))
+    mix = SelectionIntegrand(
+        PointwiseScalar(SCALAR_FORMS["neg_t"], value(1.0, 0.5, 2.0)),
+        PointwiseScalar(SCALAR_FORMS["t"], value(1.0, 0.5, 2.0)),
+        ((left, 0.25),))
+    band = IntervalValued(
+        PointwiseScalar(SCALAR_FORMS["neg_t"], value(0.5, 1.0, 0.0)),
+        PointwiseScalar(SCALAR_FORMS["one_minus_t"], value(0.5, 1.0, 0.0)))
+    interval = OrderInterval(value(-1.0, 0.5, -0.0), value(2.0, 0.75, 0.0))
+    integrands = [form, simple, ConstantIntegrand(value(0.25, -1.0, 2.0)),
+                  mix]
+    multifunctions = [band, IntervalValued(mix.lower, mix),
+                      SimpleSet(((left, interval),)), ConstantSet(interval),
+                      singleton_multifunction(simple)]
+    return MeasureSpec(m0), integrands, multifunctions
+
+
+FIXED_PARTITIONS = [
+    TaggedPartition(),
+    TaggedPartition.from_triples([(0.25, 0.75, 0.5)]),
+    TaggedPartition.from_triples([(0.0, 0.0, 0.0), (0.0, 0.25, 0.25),
+                                  (0.25, 0.25, 0.25), (0.25, 1.0, 0.5),
+                                  (1.0, 1.0, 1.0)]),
+    # more cells than one column block holds
+    *iter_fine_partitions(Gauge.constant(4e-4, mandatory_tags=[1.0 / 3.0]),
+                          BorelSet.from_pairs([[0.0, 0.4], [0.5, 1.0]]), 2,
+                          "every-family"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_every_family_through_the_kernel(name):
+    spec, integrands, multifunctions = every_family(name)
+    for part in FIXED_PARTITIONS:
+        for f in integrands:
+            assert_same(riemann_sum(f, part, spec),
+                        reference_riemann_sum(f, part, spec))
+        for F in multifunctions:
+            assert_same(riemann_set_sum(F, part, spec),
+                        reference_riemann_set_sum(F, part, spec))
 
 
 @settings(max_examples=200, deadline=None)
@@ -307,3 +375,15 @@ def test_in_order_tags_and_empty_cells_do_not_raise(spec, unit):
                             (Interval(1.0 / 128.0, 1.0), 3.0 / 128.0)))
     assert_same(riemann_set_sum(F, part, spec),
                 reference_riemann_set_sum(F, part, spec))
+
+
+def test_counterexample_at_a_subnormal_tag():
+    # 1 / 5e-324 overflows to infinity, and the value there used to raise
+    # OverflowError instead of reading zero
+    part = TaggedPartition.from_triples([(0.0, 1e-300, 5e-324),
+                                         (1e-300, 1.0, 0.5)])
+    spec = MeasureSpec(Scalar(1.0))
+    f = CounterexampleC00()
+    assert f.value_at(5e-324) == SparseSeq()
+    assert_same(riemann_sum(f, part, spec),
+                reference_riemann_sum(f, part, spec))
