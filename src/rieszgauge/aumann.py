@@ -76,7 +76,7 @@ def default_mixes(F: Multifunction) -> tuple[MixSpec, ...]:
 
 def aumann_integral(F: Multifunction, A, spec: MeasureSpec, reg: Regulator,
                     probes, mixes, *, partition_samples: int = 32,
-                    seed="aumann", max_depth: int = 48) -> AumannResult:
+                    seed="aumann") -> AumannResult:
     """Integrate every selection in the mix family and return the point set
     with its interval hull (which has the lower/upper endpoint integrals as
     its ends whenever the constant mixes 0 and 1 are present)."""
@@ -88,8 +88,7 @@ def aumann_integral(F: Multifunction, A, spec: MeasureSpec, reg: Regulator,
     for idx, mix in enumerate(mixes):
         f = selection(F, normalize_mix(mix))
         cert = kh_integrate(f, A, spec, reg, probes,
-                            samples=partition_samples, seed=f"{seed}:{idx}",
-                            max_depth=max_depth)
+                            samples=partition_samples, seed=f"{seed}:{idx}")
         points.append(cert.value)
     points.sort(key=repr)
     lo = points[0]
@@ -111,15 +110,15 @@ class ComparisonReport:
 
 
 def comparison_simple(F: SimpleSet, A, spec: MeasureSpec, reg: Regulator,
-                      probes, *, partition_samples: int = 32, seed="compare",
-                      max_depth: int = 48) -> ComparisonReport:
+                      probes, *, partition_samples: int = 32,
+                      seed="compare") -> ComparisonReport:
     """For a simple multifunction, compare the endpoint-sum formula, the hull
     of the endpoint selections, and the interval oracle, and check that every
     selection integral passes membership in the set-valued integral."""
     if not isinstance(F, SimpleSet):
         raise PiecesOverlap("the comparison needs a simple multifunction")
     A = as_borel(A)
-    kw = dict(partition_samples=partition_samples, max_depth=max_depth)
+    kw = dict(partition_samples=partition_samples)
     sum_formula = endpoint_integrals(F, A, spec)
     aum = aumann_integral(F, A, spec, reg, probes, mixes=(0.0, 1.0),
                           seed=f"{seed}:aumann", **kw)

@@ -12,6 +12,7 @@ failed suite/comparison, 3 unbounded multifunction.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import report
@@ -104,6 +105,7 @@ def _emit(payload: dict, args) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _run(args) -> int:
@@ -114,8 +116,7 @@ def _run(args) -> int:
         overrides["probes"] = args.probes
     config = load_config(args.config, overrides)
     spec = config.measure_spec()
-    kw = dict(partition_samples=config.partition_samples,
-              max_depth=config.max_depth)
+    kw = dict(partition_samples=config.partition_samples)
 
     if args.command == "integrate":
         f = parse_integrand(args.f, config)
@@ -123,8 +124,7 @@ def _run(args) -> int:
         try:
             cert = kh_integrate(f, region, spec, config.regulator,
                                 config.probes, samples=config.partition_samples,
-                                seed=f"{config.seed}:cli",
-                                max_depth=config.max_depth)
+                                seed=f"{config.seed}:cli")
         except NotCertifiable as exc:
             print(f"not KH-integrable: {exc}", file=sys.stderr)
             return 2
@@ -171,8 +171,7 @@ def _run(args) -> int:
     if args.command == "counterexample":
         if args.n_max < 2:
             raise SpecError("--n-max must be at least 2")
-        rep = counterexample_unboundedness(args.n_max,
-                                           max_depth=config.max_depth)
+        rep = counterexample_unboundedness(args.n_max)
         _emit(report.counterexample_to_json(rep), args)
         return 0 if rep.verdict == "UNBOUNDED" else 2
 
@@ -187,7 +186,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _run(args)
-    except SpecError as exc:
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return 1
+    except (SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except UnboundedMultifunction as exc:

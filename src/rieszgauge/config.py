@@ -37,13 +37,10 @@ class RunConfig:
     probes: tuple[IndexMap, ...] = field(default_factory=standard_probes)
     seed: int = 0
     partition_samples: int = 32
-    max_depth: int = 48
 
     def __post_init__(self):
         if self.partition_samples < 1:
             raise SpecError("partition_samples must be at least 1")
-        if self.max_depth < 1:
-            raise SpecError("max_depth must be at least 1")
 
     def measure_spec(self) -> MeasureSpec:
         return MeasureSpec(self.m0)
@@ -263,7 +260,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     raw: dict[str, str] = {}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeError) as exc:
+            raise SpecError(f"config file {path!r}: "
+                            + str(exc).splitlines()[0])
         if not read:
             raise SpecError(f"config file {path!r} not found")
         for section in parser.sections():
@@ -291,11 +292,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                          regulator=Geometric(config.regulator_unit(), 0.5, 0.5))
     if "probes" in raw:
         config = replace(config, probes=parse_probes(raw["probes"]))
-    for key, cast in (("seed", int), ("partition_samples", int),
-                      ("max_depth", int)):
+    for key in ("seed", "partition_samples"):
         if key in raw:
             try:
-                config = replace(config, **{key: cast(raw[key])})
+                config = replace(config, **{key: int(raw[key])})
             except ValueError:
                 raise SpecError(f"bad {key} value {raw[key]!r}")
     return config

@@ -25,6 +25,9 @@ _EPS = 1e-12
 #: piece a split makes; a gauge that needs more is too small to sample.
 NODE_BUDGET = 2 ** 20
 
+#: A random fill splits a piece that already fits only at depths below this.
+_SPLIT_DEPTH = 44
+
 #: The slope of anchored gauges; below 1, so that no fine cell can straddle
 #: an anchor it is not tagged at.
 ANCHORED_KAPPA = 0.9
@@ -43,9 +46,6 @@ class Interval:
 
     def length(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, t: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= t <= self.hi + tol
 
 
 class BorelSet:
@@ -89,7 +89,7 @@ class BorelSet:
         return sum(c.length() for c in self.components)
 
     def contains_point(self, t: float, tol: float = 0.0) -> bool:
-        return any(c.contains(t, tol) for c in self.components)
+        return any(c.lo - tol <= t <= c.hi + tol for c in self.components)
 
     def contains_set(self, other: "BorelSet", tol: float = _EPS) -> bool:
         """Closure containment: every component of ``other`` sits inside some
@@ -414,15 +414,13 @@ class TaggedPartition:
         """The ``(Interval, tag)`` pairs, built on demand."""
         return tuple((Interval(lo, hi), tag) for lo, hi, tag in self.triples)
 
-    def cells(self):
-        return tuple(Interval(lo, hi) for lo, hi, _ in self.triples)
-
     def total_length(self) -> float:
         return sum(hi - lo for lo, hi, _ in self.triples)
 
-    def covers(self, E: BorelSet, tol: float = 1e-9) -> bool:
-        """True when the cells tile ``E`` up to endpoints."""
-        covered = BorelSet(self.cells())
+    def covers(self, E: BorelSet) -> bool:
+        """True when the cells tile ``E`` up to endpoints, within 1e-9."""
+        tol = 1e-9
+        covered = BorelSet(Interval(lo, hi) for lo, hi, _ in self.triples)
         return (abs(self.total_length() - E.length()) <= tol
                 and covered.contains_set(E, tol)
                 and E.contains_set(covered, tol))
@@ -477,34 +475,46 @@ def _carve_mandatory(gauge: Gauge, lo: float, hi: float, shrink=None) -> list:
     pieces = []
     cursor = lo
     for cell in cells:
-        if cell[0] - cursor > _EPS:
+        if cell[0] > cursor:
             pieces.append((cursor, cell[0]))
         pieces.append(cell)
         cursor = cell[1]
-    if hi - cursor > _EPS:
+    if hi > cursor:
         pieces.append((cursor, hi))
     return pieces
 
 
-def _fill_canonical(radius, lo: float, hi: float, max_depth: int,
-                    nodes: int, out: list) -> int:
+def _sliver(radius, a: float, b: float, tag: float) -> tuple:
+    """The one cell of [a, b], too narrow to cut, tagged at ``tag``; raise
+    DepthExceeded unless it is fine there.  ``radius`` is a float or a
+    function of the point."""
+    r = radius(tag) if callable(radius) else radius
+    if not max(tag - a, b - tag) < r:
+        raise DepthExceeded(
+            f"[{a}, {b}] is below float resolution and not fine at its tag "
+            f"{tag}; the gauge floor declaration looks wrong")
+    return (a, b, tag)
+
+
+def _fill_canonical(radius, lo: float, hi: float, nodes: int,
+                    out: list) -> int:
     """Bisect [lo, hi], depth first and left piece first, until each piece
     fits the ball of its midpoint, right or left endpoint (preferred in that
     order); append the cells to ``out`` and return what is left of the node
     budget ``nodes``.  ``radius`` is that of :meth:`Gauge.on_gap`; a float
     one is tried at the midpoint only, since rounding is monotone:
     ``fl(b - a) >= max(fl(mid - a), fl(b - mid))``.  A piece of width at
-    most ``_EPS`` is dropped when it is fine at its midpoint and raises
-    DepthExceeded otherwise."""
+    most ``_EPS`` is a :func:`_sliver` cell tagged at its midpoint, which
+    every piece of [0, 1] becomes by depth 40."""
     gamma = radius if callable(radius) else None
-    stack = [(lo, hi, 0)]
+    stack = [(lo, hi)]
     pop, push = stack.pop, stack.append
     while stack:
-        a, b, depth = pop()
-        if b - a <= _EPS:
-            _check_sliver(radius, a, b)
-            continue
+        a, b = pop()
         mid = 0.5 * (a + b)
+        if b - a <= _EPS:
+            out.append(_sliver(radius, a, b, mid))
+            continue
         if gamma is None:
             tag = mid if mid - a < radius and b - mid < radius else None
         elif max(mid - a, b - mid) < gamma(mid):
@@ -514,15 +524,11 @@ def _fill_canonical(radius, lo: float, hi: float, max_depth: int,
         if tag is not None:
             out.append((a, b, tag))
             continue
-        if depth >= max_depth:
-            raise DepthExceeded(
-                f"no fine cell for [{a}, {b}] within depth {max_depth}; "
-                "the gauge floor declaration looks wrong")
         nodes -= 2
         if nodes < 0:
             raise _over_budget()
-        push((mid, b, depth + 1))
-        push((a, mid, depth + 1))
+        push((mid, b))
+        push((a, mid))
     return nodes
 
 
@@ -532,23 +538,12 @@ def _over_budget() -> EnvelopeTooSmall:
         "is too small to sample")
 
 
-def _check_sliver(radius, a: float, b: float):
-    """Raise DepthExceeded unless the sliver [a, b], too narrow to cut, is
-    fine at its midpoint; ``radius`` is a float or a function of the point."""
-    mid = 0.5 * (a + b)
-    r = radius(mid) if callable(radius) else radius
-    if not max(mid - a, b - mid) < r:
-        raise DepthExceeded(
-            f"[{a}, {b}] is below float resolution and not fine at its "
-            "midpoint; the gauge floor declaration looks wrong")
-
-
 def _component_pieces(gauge: Gauge, lo: float, hi: float,
                       shrink=None) -> list:
     """The pieces of :func:`_carve_mandatory` for the component [lo, hi].
-    A component no wider than ``_EPS`` is one cell instead, tagged at its
-    mandatory tag if it holds one and otherwise at its midpoint, which
-    raises DepthExceeded when it is not fine there."""
+    A component no wider than ``_EPS`` is one :func:`_sliver` cell instead,
+    tagged at its mandatory tag if it holds one and otherwise at its
+    midpoint."""
     if hi - lo <= 0.0:
         return [(lo, hi, lo)]
     pieces = _carve_mandatory(gauge, lo, hi, shrink)
@@ -556,14 +551,10 @@ def _component_pieces(gauge: Gauge, lo: float, hi: float,
         return pieces
     tag = min((p for p in gauge.mandatory_tags if lo <= p <= hi),
               default=0.5 * (lo + hi))
-    if not max(tag - lo, hi - tag) < gauge.gamma(tag):
-        raise DepthExceeded(
-            f"the component [{lo}, {hi}] is below float resolution and not "
-            f"fine at its tag {tag}")
-    return [(lo, hi, tag)]
+    return [_sliver(gauge.gamma, lo, hi, tag)]
 
 
-def cousin_partition(gauge: Gauge, E: Interval, max_depth: int = 48) -> TaggedPartition:
+def cousin_partition(gauge: Gauge, E: Interval) -> TaggedPartition:
     """A deterministic fine tagged partition of one interval.
 
     Mandatory tags get carved out first, each as the tag of a cell of
@@ -571,10 +562,10 @@ def cousin_partition(gauge: Gauge, E: Interval, max_depth: int = 48) -> TaggedPa
     bisected until they fit, which terminates because the gauge has a
     positive floor away from the mandatory tags.
     """
-    return partition_borel(gauge, BorelSet((E,)), max_depth)
+    return partition_borel(gauge, BorelSet((E,)))
 
 
-def partition_borel(gauge: Gauge, E: BorelSet, max_depth: int = 48) -> TaggedPartition:
+def partition_borel(gauge: Gauge, E: BorelSet) -> TaggedPartition:
     """Concatenated fine partitions of every component of a Borel set."""
     out: list = []
     nodes = NODE_BUDGET
@@ -583,26 +574,26 @@ def partition_borel(gauge: Gauge, E: BorelSet, max_depth: int = 48) -> TaggedPar
             if len(piece) == 3:
                 out.append(piece)
             else:
-                nodes = _fill_canonical(gauge.on_gap(*piece), *piece,
-                                        max_depth, nodes, out)
+                nodes = _fill_canonical(gauge.on_gap(*piece), *piece, nodes,
+                                        out)
     return TaggedPartition.from_triples(out)
 
 
 def _fill_random(radius, lo: float, hi: float, rng: random.Random,
-                 max_depth: int, split_budget: int, nodes: int,
-                 out: list) -> tuple[int, int]:
+                 split_budget: int, nodes: int, out: list) -> tuple[int, int]:
     """Append seeded random fine cells tiling [lo, hi] to ``out`` and return
     the split budget and the node budget left over.
 
     Each piece draws a random tag, then falls back to its midpoint, right and
-    left endpoint; a piece that fits is split anyway now and then while the
-    budget lasts, and a piece that does not fit is cut at a length sized to
-    the gauge at its friendlier endpoint.  Pieces are visited depth first,
-    left piece first, and the radii already known at a piece's endpoints
-    travel down to its halves.  ``radius`` is that of :meth:`Gauge.on_gap`;
-    a constant one is known everywhere.  ``rng.uniform(x, y)`` is spelled
-    out as the ``x + (y - x) * rng.random()`` it evaluates.  A piece of
-    width at most ``_EPS`` is dropped as in :func:`_fill_canonical`.
+    left endpoint; a piece that fits is split anyway now and then, at depths
+    below ``_SPLIT_DEPTH`` while the split budget lasts, and a piece that
+    does not fit is cut at a length sized to the gauge at its friendlier
+    endpoint.  Pieces are visited depth first, left piece first, and the
+    radii already known at a piece's endpoints travel down to its halves.
+    ``radius`` is that of :meth:`Gauge.on_gap`; a constant one is known
+    everywhere.  ``rng.uniform(x, y)`` is spelled out as the
+    ``x + (y - x) * rng.random()`` it evaluates.  A piece of width at most
+    ``_EPS`` is a :func:`_sliver` cell tagged at its midpoint.
     """
     draw = rng.random
     gamma = radius if callable(radius) else None
@@ -613,7 +604,7 @@ def _fill_random(radius, lo: float, hi: float, rng: random.Random,
         a, b, depth, ga, gb = pop()
         width = b - a
         if width <= _EPS:
-            _check_sliver(radius, a, b)
+            out.append(_sliver(radius, a, b, 0.5 * (a + b)))
             continue
         tag = a + width * (0.25 + (0.75 - 0.25) * draw())
         gt = radius if gamma is None else gamma(tag)
@@ -635,16 +626,13 @@ def _fill_random(radius, lo: float, hi: float, rng: random.Random,
                     if width < ga:
                         accepted = a
         if accepted is not None:
-            if not (split_budget > 0 and depth < max_depth - 4
+            if not (split_budget > 0 and depth < _SPLIT_DEPTH
                     and draw() < 0.45):
                 out.append((a, b, accepted))
                 continue
             split_budget -= 1
             cut = a + width * (0.35 + (0.65 - 0.35) * draw())
         else:
-            if depth >= max_depth:
-                raise DepthExceeded(
-                    f"no fine cell for [{a}, {b}] within depth {max_depth}")
             # march toward the region that forces small cells: carve off a
             # piece sized to the gauge at the friendlier endpoint so it
             # accepts at once
@@ -668,7 +656,7 @@ def _fill_random(radius, lo: float, hi: float, rng: random.Random,
 
 
 def _random_fine_partition(gauge: Gauge, E: BorelSet, rng: random.Random,
-                           max_depth: int, split_budget: int) -> TaggedPartition:
+                           split_budget: int) -> TaggedPartition:
     """Each component's carved cells, with shrinks drawn before any fill,
     and random fills of the gaps between them, in cell order."""
     out: list = []
@@ -680,24 +668,23 @@ def _random_fine_partition(gauge: Gauge, E: BorelSet, rng: random.Random,
                 out.append(piece)
             else:
                 split_budget, nodes = _fill_random(
-                    gauge.on_gap(*piece), *piece, rng, max_depth,
-                    split_budget, nodes, out)
+                    gauge.on_gap(*piece), *piece, rng, split_budget, nodes,
+                    out)
     return TaggedPartition.from_triples(out)
 
 
-def iter_fine_partitions(gauge: Gauge, E: BorelSet, count: int, seed,
-                         max_depth: int = 48):
+def iter_fine_partitions(gauge: Gauge, E: BorelSet, count: int, seed):
     """Lazily yield the canonical fine partition and seeded random fine
     perturbations.
 
     Perturbations randomize split points, tags, and carve widths, and a
     fraction of them refine several levels deeper so the sample mixes scales.
     """
-    yield partition_borel(gauge, E, max_depth)
+    yield partition_borel(gauge, E)
     for s in range(max(0, count - 1)):
         rng = random.Random(f"{seed}:{s}")
         budget = 10 if s % 3 == 2 else 2
-        yield _random_fine_partition(gauge, E, rng, max_depth, budget)
+        yield _random_fine_partition(gauge, E, rng, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -746,8 +733,8 @@ def regularity_witness(spec: MeasureSpec, E: BorelSet, reg: Regulator,
     raise EnvelopeTooSmall("no positive margin meets the envelope bound")
 
 
-def sigma_additivity_check(spec: MeasureSpec, family, tail_bound: RieszValue,
-                           slack: float = ORDER_SLACK) -> bool:
+def sigma_additivity_check(spec: MeasureSpec, family,
+                           tail_bound: RieszValue) -> bool:
     """Two-sided additivity check for a finite disjoint family, with an
     explicit tail allowance for truncations of infinite families.
 
@@ -757,15 +744,15 @@ def sigma_additivity_check(spec: MeasureSpec, family, tail_bound: RieszValue,
     family = tuple(family)
     for i, a in enumerate(family):
         for b in family[i + 1:]:
-            if a.intersection(b).length() > slack:
+            if a.intersection(b).length() > ORDER_SLACK:
                 raise NotDisjoint("family members overlap on positive length")
     union = reduce(lambda x, y: x.union(y), family, BorelSet.empty())
     total = measure(spec, union)
     partial = zero_like(spec.m0)
     for a in family:
         partial = partial + measure(spec, a)
-    ok = (leq(total, partial + tail_bound, slack)
-          and leq(partial, total + tail_bound, slack))
+    ok = (leq(total, partial + tail_bound, ORDER_SLACK)
+          and leq(partial, total + tail_bound, ORDER_SLACK))
     if union.is_empty():
         return ok
     reg = Geometric(spec.m0, 1.0, 0.5)
@@ -773,9 +760,10 @@ def sigma_additivity_check(spec: MeasureSpec, family, tail_bound: RieszValue,
     for c in (2, 4, 6):
         K, _ = regularity_witness(spec, union, reg, ConstantMap(c))
         mu_k = measure(spec, K)
-        ok = ok and leq(mu_k, total, slack)
-        ok = ok and leq(total - mu_k, envelope(reg, ConstantMap(c)), slack)
+        ok = ok and leq(mu_k, total, ORDER_SLACK)
+        ok = ok and leq(total - mu_k, envelope(reg, ConstantMap(c)),
+                        ORDER_SLACK)
         if prev is not None:
-            ok = ok and leq(prev, mu_k, slack)
+            ok = ok and leq(prev, mu_k, ORDER_SLACK)
         prev = mu_k
     return ok

@@ -26,7 +26,7 @@ class EmptyProbeSet(RieszGaugeError):
 
 
 class DepthExceeded(RieszGaugeError):
-    """Bisection hit the depth cap; the gauge floor declaration is wrong."""
+    """A sliver too narrow to cut is not fine: the gauge floor is wrong."""
 
 
 class EnvelopeTooSmall(RieszGaugeError):

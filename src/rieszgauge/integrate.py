@@ -192,8 +192,7 @@ class IntegralCertificate:
 
 
 def kh_integrate(f: Integrand, E, spec: MeasureSpec, reg: Regulator, probes,
-                 *, samples: int = 32, seed="kh",
-                 max_depth: int = 48) -> IntegralCertificate:
+                 *, samples: int = 32, seed="kh") -> IntegralCertificate:
     """Integrate ``f`` over ``E`` and certify the value against ``reg``.
 
     For every probe a gauge is constructed from the integrand's declared
@@ -215,7 +214,7 @@ def kh_integrate(f: Integrand, E, spec: MeasureSpec, reg: Regulator, probes,
     worst = zero_like(value)
     count = 0
     if not E.is_empty():
-        for part in iter_fine_partitions(tightest, E, samples, seed, max_depth):
+        for part in iter_fine_partitions(tightest, E, samples, seed):
             dev = abs(riemann_sum(f, part, spec) - value)
             worst = worst.join(dev)
             count += 1
@@ -246,13 +245,15 @@ def integral_additivity_check(f: Integrand, A, B, spec: MeasureSpec,
 # the non-integrable counterexample, run forward
 # ---------------------------------------------------------------------------
 
+#: The radius of the counterexample's gauges away from the points 1/k.
+COUNTEREXAMPLE_RADIUS = 0.05
+
 def _forced_points(n: int) -> list[float]:
     # 1/n < 1/(n-1) < ... < 1/2
     return [1.0 / (n + 1 - i) for i in range(1, n)]
 
 
-def counterexample_partition(n: int, delta: Gauge,
-                             max_depth: int = 48) -> TaggedPartition:
+def counterexample_partition(n: int, delta: Gauge) -> TaggedPartition:
     """A fine partition of [0, 1] that pins a cell strictly around each point
     1/2, 1/3, ..., 1/n, with the gaps filled by bisection.
 
@@ -275,22 +276,21 @@ def counterexample_partition(n: int, delta: Gauge,
         gap_left = xi - (points[idx - 1] if idx else 0.0)
         gap_right = (points[idx + 1] if idx + 1 < len(points) else 1.0) - xi
         h = min(delta.gamma(xi), gap_left, gap_right) / 4.0
-        _fill_gap(delta, cursor, xi - h, keep, max_depth, triples)
+        _fill_gap(delta, cursor, xi - h, keep, triples)
         triples.append((xi - h, xi + h, xi))
         cursor = xi + h
-    _fill_gap(delta, cursor, 1.0, keep, max_depth, triples)
+    _fill_gap(delta, cursor, 1.0, keep, triples)
     part = TaggedPartition.from_triples(triples)
     if not is_fine(part, delta):
         raise NotCertifiable("constructed partition failed the fineness check")
     return part
 
 
-def _fill_gap(gauge: Gauge, lo: float, hi: float, keep: set, max_depth: int,
-              out: list):
+def _fill_gap(gauge: Gauge, lo: float, hi: float, keep: set, out: list):
     """Append the canonical fine cells of the gap [lo, hi], with tags nudged
     off the reciprocals, to ``out``; a gap of 1e-12 or less gets none."""
     if hi - lo > 1e-12:
-        filled = cousin_partition(gauge, Interval(lo, hi), max_depth)
+        filled = cousin_partition(gauge, Interval(lo, hi))
         out.extend(_nudge_off_reciprocals(filled.triples, gauge, keep))
 
 
@@ -329,8 +329,7 @@ class CounterexampleReport:
     gauge_radius: float
 
 
-def counterexample_unboundedness(n_max: int, *, gauge_radius: float = 0.05,
-                                 max_depth: int = 48) -> CounterexampleReport:
+def counterexample_unboundedness(n_max: int) -> CounterexampleReport:
     """Build the forced partitions for n = 2..n_max, check fineness and the
     lower bound ``lambda_n * u_n <= sum``, and report the support growth that
     rules out any common bound in the eventually-zero sequences."""
@@ -343,8 +342,8 @@ def counterexample_unboundedness(n_max: int, *, gauge_radius: float = 0.05,
     growing = True
     for n in range(2, n_max + 1):
         points = _forced_points(n)
-        delta = Gauge.constant(gauge_radius, mandatory_tags=points)
-        part = counterexample_partition(n, delta, max_depth)
+        delta = Gauge.constant(COUNTEREXAMPLE_RADIUS, mandatory_tags=points)
+        part = counterexample_partition(n, delta)
         fine = is_fine(part, delta)
         total = riemann_sum(f, part, spec)
         lam = next(hi - lo for lo, hi, tag in part.triples
@@ -357,4 +356,4 @@ def counterexample_unboundedness(n_max: int, *, gauge_radius: float = 0.05,
         entries.append(CounterexampleEntry(n, lam, fine, dominated, support))
     all_ok = all(e.fine and e.dominated for e in entries)
     verdict = "UNBOUNDED" if (all_ok and growing) else "INCONCLUSIVE"
-    return CounterexampleReport(tuple(entries), verdict, gauge_radius)
+    return CounterexampleReport(tuple(entries), verdict, COUNTEREXAMPLE_RADIUS)

@@ -30,10 +30,6 @@ class IndexMap:
     def eval(self, i: int) -> int:
         raise NotImplementedError
 
-    def shifted(self, k: int) -> "IndexMap":
-        """The map ``i -> self(i + k)``."""
-        return ShiftedMap(self, k) if k else self
-
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -387,8 +383,7 @@ def fremlin_combine(regs, u: RieszValue) -> Regulator:
     return FremlinCombination(regs, u)
 
 
-def d_limit_check(seq, r: RieszValue, reg: Regulator, probes,
-                  slack: float = ORDER_SLACK) -> bool:
+def d_limit_check(seq, r: RieszValue, reg: Regulator, probes) -> bool:
     """Certify ``r`` as the regulator-controlled limit of a finite sequence.
 
     True iff for every probe there is an index from which every later listed
@@ -404,7 +399,7 @@ def d_limit_check(seq, r: RieszValue, reg: Regulator, probes,
         env = envelope(reg, phi)
         last_bad = -1
         for idx, rn in enumerate(seq):
-            if not leq(abs(rn - r), env, slack):
+            if not leq(abs(rn - r), env, ORDER_SLACK):
                 last_bad = idx
         if last_bad == len(seq) - 1:
             return False

@@ -301,8 +301,7 @@ def _level_schedule(F: Multifunction, E: BorelSet, spec: MeasureSpec,
     return sorted({0, 2, pred, min(pred + 2, cap), min(pred + 4, cap)})
 
 
-def _gauge_search(z, F, E, spec, env, schedule, samples, seed,
-                  max_depth) -> bool:
+def _gauge_search(z, F, E, spec, env, schedule, samples, seed) -> bool:
     """Search the halving schedule for a gauge all of whose sampled fine
     partitions bring a set-sum within ``env`` of ``z``.
 
@@ -319,21 +318,19 @@ def _gauge_search(z, F, E, spec, env, schedule, samples, seed,
     fine_gauge = _membership_gauge(F, E, finest)
     extra = max(4, samples // 4)
     if not all(contained(part) for part in
-               iter_fine_partitions(fine_gauge, E, extra, f"{seed}:fine",
-                                    max_depth)):
+               iter_fine_partitions(fine_gauge, E, extra, f"{seed}:fine")):
         return False
     for level in schedule:
         gauge = _membership_gauge(F, E, level)
         if all(contained(part) for part in
-               iter_fine_partitions(gauge, E, samples, f"{seed}:L{level}",
-                                    max_depth)):
+               iter_fine_partitions(gauge, E, samples, f"{seed}:L{level}")):
             return True
     return False
 
 
 def phi_membership(z: RieszValue, F: Multifunction, E, spec: MeasureSpec,
                    reg: Regulator, probes, *, partition_samples: int = 32,
-                   seed="phi", max_depth: int = 48) -> bool:
+                   seed="phi") -> bool:
     """Membership in the set-valued integral: for every probe there must be a
     gauge (searched over a halving family pinned at the piece boundaries)
     under which every sampled fine partition's set-sum comes within the probe
@@ -352,7 +349,7 @@ def phi_membership(z: RieszValue, F: Multifunction, E, spec: MeasureSpec,
     env_meet = reduce(lambda a, b: a.meet(b), envs)
     if _gauge_search(z, F, E, spec, env_meet,
                      _level_schedule(F, E, spec, env_meet),
-                     partition_samples, seed, max_depth):
+                     partition_samples, seed):
         return True
     for env in sorted(envs, key=lambda e: e.sup_norm()):
         if env == env_meet:
@@ -360,7 +357,7 @@ def phi_membership(z: RieszValue, F: Multifunction, E, spec: MeasureSpec,
             return False
         if not _gauge_search(z, F, E, spec, env,
                              _level_schedule(F, E, spec, env),
-                             partition_samples, seed, max_depth):
+                             partition_samples, seed):
             return False
     return True
 
@@ -376,7 +373,7 @@ def endpoint_integrals(F: Multifunction, E: BorelSet,
 
 def phi_interval_oracle(F: Multifunction, E, spec: MeasureSpec,
                         reg: Regulator, probes, *, partition_samples: int = 32,
-                        seed="oracle", max_depth: int = 48) -> OrderInterval:
+                        seed="oracle") -> OrderInterval:
     """A computable outer description of the set-valued integral: exact
     endpoint integrals for families with closed-form ends (constant and
     simple multifunctions), certified endpoint integrals for the others."""
@@ -384,11 +381,9 @@ def phi_interval_oracle(F: Multifunction, E, spec: MeasureSpec,
     if F.exact_ends:
         return endpoint_integrals(F, E, spec)
     lo = kh_integrate(F.lower, E, spec, reg, probes,
-                      samples=partition_samples, seed=f"{seed}:lo",
-                      max_depth=max_depth).value
+                      samples=partition_samples, seed=f"{seed}:lo").value
     hi = kh_integrate(F.upper, E, spec, reg, probes,
-                      samples=partition_samples, seed=f"{seed}:hi",
-                      max_depth=max_depth).value
+                      samples=partition_samples, seed=f"{seed}:hi").value
     return OrderInterval(lo, hi)
 
 
@@ -464,9 +459,9 @@ def phi_monotonicity_check(F: Multifunction, A, B, spec: MeasureSpec,
     return ok
 
 
-def respects_global_bound(z: RieszValue, F: Multifunction, spec: MeasureSpec,
-                          slack: float = ORDER_SLACK) -> bool:
+def respects_global_bound(z: RieszValue, F: Multifunction,
+                          spec: MeasureSpec) -> bool:
     """The boundedness conclusion: accepted members stay within the bound of
     F times the measure of the whole domain."""
     cap = mul(F.bound(), spec.total())
-    return leq(abs(z), cap, slack)
+    return leq(abs(z), cap, ORDER_SLACK)

@@ -329,7 +329,7 @@ def suite_measure(config: RunConfig) -> SuiteResult:
                              for _ in range(rng.randint(1, 3)))
             gauge = Gauge.anchored(anchors, rng.uniform(0.004, 0.05))
         region = rand_borel(rng)
-        part = partition_borel(gauge, region, config.max_depth)
+        part = partition_borel(gauge, region)
         drift = abs(part.total_length() - region.length())
         return all([is_fine(part, gauge), drift <= 1e-12,
                     part.covers(region)]), drift - 1e-12
@@ -338,7 +338,7 @@ def suite_measure(config: RunConfig) -> SuiteResult:
 
     def reject(rng, t):
         gauge = Gauge.constant(rng.uniform(0.2, 0.5))
-        part = cousin_partition(gauge, Interval(0.0, 1.0), config.max_depth)
+        part = cousin_partition(gauge, Interval(0.0, 1.0))
         reach = max(max(tag - lo, hi - tag) for lo, hi, tag in part.triples)
         return not is_fine(part, Gauge.constant(reach * 0.9)), 0.0
     out.run("fineness_rejects_tight_gauge",
@@ -388,7 +388,7 @@ def suite_integral(config: RunConfig) -> SuiteResult:
     reg = config.regulator
     probes = config.probes
     whole = BorelSet.whole()
-    kw = dict(samples=config.partition_samples, max_depth=config.max_depth)
+    kw = dict(samples=config.partition_samples)
 
     def value(f, region, tag):
         return kh_integrate(f, region, spec, reg, probes,
@@ -464,8 +464,7 @@ def suite_setvalued(config: RunConfig) -> SuiteResult:
     reg = config.regulator
     probes = config.probes
     whole = BorelSet.whole()
-    kw = dict(partition_samples=config.partition_samples,
-              max_depth=config.max_depth)
+    kw = dict(partition_samples=config.partition_samples)
     accepted: list[tuple] = []
 
     def member(z, F, region, tag) -> bool:
@@ -493,7 +492,7 @@ def suite_setvalued(config: RunConfig) -> SuiteResult:
         triples = []
         for part, _ in F.pieces:
             gauge = Gauge.constant(rng.uniform(0.05, 0.3))
-            sub = partition_borel(gauge, part, config.max_depth)
+            sub = partition_borel(gauge, part)
             triples.extend(sub.triples)
             per_piece.append(riemann_set_sum(F, sub, spec))
         triples.sort(key=lambda cell: cell[0])
@@ -565,8 +564,7 @@ def suite_setvalued(config: RunConfig) -> SuiteResult:
         F = singleton_multifunction(f)
         value = kh_integrate(f, whole, spec, reg, probes,
                              samples=config.partition_samples,
-                             seed=f"{config.seed}:sv:{t}",
-                             max_depth=config.max_depth).value
+                             seed=f"{config.seed}:sv:{t}").value
         checks.append(phi_membership(value, F, whole, spec, reg, probes,
                                      seed=f"{config.seed}:svm:{t}", **kw))
         far = max_envelope(reg, probes).scale(3.0) + unit.scale(1e-6)
@@ -588,8 +586,7 @@ def suite_aumann(config: RunConfig) -> SuiteResult:
     reg = config.regulator
     probes = config.probes
     whole = BorelSet.whole()
-    kw = dict(partition_samples=config.partition_samples,
-              max_depth=config.max_depth)
+    kw = dict(partition_samples=config.partition_samples)
     grid = [i / 32.0 for i in range(33)]
 
     def hull(F, mixes, tag):
@@ -679,7 +676,7 @@ def suite_aumann(config: RunConfig) -> SuiteResult:
 
 def suite_counterexample(config: RunConfig) -> SuiteResult:
     out = SuiteResult("counterexample")
-    report = counterexample_unboundedness(20, max_depth=config.max_depth)
+    report = counterexample_unboundedness(20)
     ok_fine = all(e.fine for e in report.entries)
     ok_dom = all(e.dominated and e.lambda_n > 0.0 for e in report.entries)
     ok_support = all(e.support == tuple(range(2, e.n + 1))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -244,7 +245,7 @@ def test_readme_config_example_loads_as_printed(tmp_path):
     config = load_config(str(ini))
     assert config.value_space == "vector:2"
     assert config.m0 == Vector([1.0, 2.0])
-    assert config.seed == 42 and config.max_depth == 48
+    assert config.seed == 42
     proc = run_cli("--config", str(ini), "integrate", "--f", "const:[2, 4]")
     assert proc.returncode == 0
     assert validated(proc.stdout)["value"] == {"kind": "vector",
@@ -278,6 +279,65 @@ def test_gauges_too_small_to_sample_exit_2(form):
     assert proc.stdout == ""
     assert "more than 1048576 pieces" in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_gauge_below_2e_5_is_sampled():
+    # the random sampler's march used to count each cut as a depth level and
+    # stop at 48 with "no fine cell for [0.9999786624672591, 1.0]"
+    proc = run_cli("integrate", "--f", "square", "--probes", "const:15",
+                   timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    validated(proc.stdout)
+
+
+def test_node_budget_ends_const_18_within_seconds():
+    proc = run_cli("integrate", "--f", "square", "--probes", "const:18",
+                   timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: a fine partition needs more than 1048576 "
+                           "pieces: the gauge is too small to sample\n")
+
+
+def test_old_max_depth_key_is_ignored(tmp_path):
+    ini = tmp_path / "old.ini"
+    ini.write_text("[run]\nseed = 7\nmax_depth = 3\n")
+    assert load_config(str(ini)) == load_config(None, {"seed": "7"})
+
+
+def one_line_error(proc) -> bool:
+    return (proc.returncode == 1 and proc.stderr.startswith("error: ")
+            and len(proc.stderr.splitlines()) == 1)
+
+
+def test_unwritable_out_path_exits_1(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = run_cli("integrate", "--f", "t", "--out", str(target))
+    assert one_line_error(proc), proc.stderr
+    assert "No such file or directory" in proc.stderr
+
+
+def test_closed_stdout_exits_1():
+    # the read end is closed before the process starts, so every write to
+    # stdout fails with a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rieszgauge.cli", "suite", "lattice",
+             "--seed", "42"], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert one_line_error(proc), proc.stderr
+    assert "standard output was closed" in proc.stderr
+
+
+def test_config_without_section_header_exits_1(tmp_path):
+    ini = tmp_path / "flat.ini"
+    ini.write_text("value_space = scalar\n")
+    proc = run_cli("--config", str(ini), "integrate", "--f", "t")
+    assert one_line_error(proc), proc.stderr
+    assert "no section headers" in proc.stderr
 
 
 def test_probe_override():

@@ -218,21 +218,20 @@ def test_compiled_anchored_radius_matches_reference(anchors):
         assert gauge.gamma(t) == radius.at(t), t
 
 
-def test_random_sampler_signals_depth_exceeded():
-    gauge = Gauge.constant(1e-3)
-    parts = iter_fine_partitions(gauge, BorelSet.whole(), 2, seed="deep",
-                                 max_depth=16)
-    # bisection fits within depth 16; the random sampler's march does not
-    assert is_fine(next(parts), gauge)
-    with pytest.raises(DepthExceeded):
-        next(parts)
+def test_random_sampler_marches_to_small_constant_gauges():
+    # the march cuts about 2e5 cells off [0, 1]; it used to count each cut
+    # as a depth level and raise DepthExceeded at 48 for radii below 1e-5
+    gauge = Gauge.constant(5e-6)
+    whole = BorelSet.whole()
+    for part in iter_fine_partitions(gauge, whole, 2, seed="deep"):
+        assert is_fine(part, gauge) and part.covers(whole)
 
 
-def test_depth_exceeded_signals_bad_floor():
+def test_node_budget_signals_a_gauge_too_small_to_sample():
     gauge = Gauge(radius=Gauge.constant(1e-9).radius, mandatory_tags=(),
                   floor_on_remainder=1e-9)
-    with pytest.raises(DepthExceeded):
-        cousin_partition(gauge, Interval(0.0, 1.0), max_depth=8)
+    with pytest.raises(EnvelopeTooSmall, match="pieces"):
+        cousin_partition(gauge, Interval(0.0, 1.0))
 
 
 def test_partition_rejects_overlap_and_stray_tags():
@@ -260,7 +259,6 @@ def test_flat_partition_public_views():
     part = TaggedPartition.from_triples([(0.0, 0.5, 0.25), (0.5, 1.0, 1.0)])
     assert part.items == ((Interval(0.0, 0.5), 0.25),
                           (Interval(0.5, 1.0), 1.0))
-    assert part.cells() == (Interval(0.0, 0.5), Interval(0.5, 1.0))
     assert TaggedPartition(part.items).triples == part.triples
     assert len(part) == 2 and part.total_length() == 1.0
 
@@ -327,7 +325,7 @@ def test_sub_resolution_sliver_raises_when_not_fine():
     for s in range(6):
         with pytest.raises(DepthExceeded, match="below float resolution"):
             _random_fine_partition(gauge, E, random.Random(f"sliver:{s}"),
-                                   48, 10)
+                                   10)
 
 
 def test_regularity_witness_bookkeeping_example():
