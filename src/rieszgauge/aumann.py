@@ -40,16 +40,15 @@ def selection(F: Multifunction,
     return SelectionIntegrand(F.lower, F.upper, mix)
 
 
-def selection_is_valid(f: SelectionIntegrand, grid,
-                       slack: float = ORDER_SLACK) -> bool:
+def selection_is_valid(f: SelectionIntegrand, grid) -> bool:
     """Pointwise sandwich check on a grid plus every jump point."""
     grid = tuple(grid)
     if not grid:
         raise ValueError("the verification grid must be nonempty")
     points = set(grid) | set(f.boundary_points())
     return all(
-        leq(f.lower.value_at(t), f.value_at(t), slack)
-        and leq(f.value_at(t), f.upper.value_at(t), slack)
+        leq(f.lower.value_at(t), f.value_at(t), ORDER_SLACK)
+        and leq(f.value_at(t), f.upper.value_at(t), ORDER_SLACK)
         for t in points)
 
 
@@ -75,8 +74,7 @@ def default_mixes(F: Multifunction) -> tuple[MixSpec, ...]:
 
 
 def aumann_integral(F: Multifunction, A, spec: MeasureSpec, reg: Regulator,
-                    probes, mixes, *, partition_samples: int = 32,
-                    seed="aumann") -> AumannResult:
+                    probes, mixes, *, seed="aumann") -> AumannResult:
     """Integrate every selection in the mix family and return the point set
     with its interval hull (which has the lower/upper endpoint integrals as
     its ends whenever the constant mixes 0 and 1 are present)."""
@@ -87,9 +85,8 @@ def aumann_integral(F: Multifunction, A, spec: MeasureSpec, reg: Regulator,
     points = []
     for idx, mix in enumerate(mixes):
         f = selection(F, normalize_mix(mix))
-        cert = kh_integrate(f, A, spec, reg, probes,
-                            samples=partition_samples, seed=f"{seed}:{idx}")
-        points.append(cert.value)
+        points.append(kh_integrate(f, A, spec, reg, probes,
+                                   seed=f"{seed}:{idx}").value)
     points.sort(key=repr)
     lo = points[0]
     hi = points[0]
@@ -110,20 +107,18 @@ class ComparisonReport:
 
 
 def comparison_simple(F: SimpleSet, A, spec: MeasureSpec, reg: Regulator,
-                      probes, *, partition_samples: int = 32,
-                      seed="compare") -> ComparisonReport:
+                      probes, *, seed="compare") -> ComparisonReport:
     """For a simple multifunction, compare the endpoint-sum formula, the hull
     of the endpoint selections, and the interval oracle, and check that every
     selection integral passes membership in the set-valued integral."""
     if not isinstance(F, SimpleSet):
         raise PiecesOverlap("the comparison needs a simple multifunction")
     A = as_borel(A)
-    kw = dict(partition_samples=partition_samples)
     sum_formula = endpoint_integrals(F, A, spec)
     aum = aumann_integral(F, A, spec, reg, probes, mixes=(0.0, 1.0),
-                          seed=f"{seed}:aumann", **kw)
+                          seed=f"{seed}:aumann")
     oracle = phi_interval_oracle(F, A, spec, reg, probes,
-                                 seed=f"{seed}:oracle", **kw)
+                                 seed=f"{seed}:oracle")
     tol = min_envelope(reg, probes).scale(2.0)
 
     def close(left: OrderInterval, right: OrderInterval) -> bool:
@@ -139,7 +134,7 @@ def comparison_simple(F: SimpleSet, A, spec: MeasureSpec, reg: Regulator,
                    (left.hi - right.hi).sup_norm())
     checks = tuple(
         (p, phi_membership(p, F, A, spec, reg, probes,
-                           seed=f"{seed}:member:{i}", **kw))
+                           seed=f"{seed}:member:{i}"))
         for i, p in enumerate(aum.points))
     passed = agree and all(flag for _, flag in checks)
     return ComparisonReport(sum_formula, aum.hull, oracle, disc, checks, passed)

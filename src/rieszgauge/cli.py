@@ -24,6 +24,10 @@ from .integrate import counterexample_unboundedness, kh_integrate
 from .setvalued import SimpleSet, phi_interval_oracle, phi_membership
 from .suites import run_suites
 
+#: The largest ``counterexample --n-max``: the run costs about n**3, since the
+#: sum for each n carries n sequence keys over O(n) cells.
+N_MAX = 200
+
 
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1 (argparse defaults to 2, which is reserved for
@@ -94,7 +98,9 @@ def _build_parser() -> _Parser:
 
     p_cx = sub.add_parser("counterexample", parents=[common],
                           help="run the non-integrable spike construction")
-    p_cx.add_argument("--n-max", type=int, default=20)
+    p_cx.add_argument("--n-max", type=int, default=20,
+                      help=f"largest n of the spike family, 2 to {N_MAX} "
+                           f"(default 20)")
     return parser
 
 
@@ -116,15 +122,13 @@ def _run(args) -> int:
         overrides["probes"] = args.probes
     config = load_config(args.config, overrides)
     spec = config.measure_spec()
-    kw = dict(partition_samples=config.partition_samples)
 
     if args.command == "integrate":
         f = parse_integrand(args.f, config)
         region = parse_set(args.on)
         try:
             cert = kh_integrate(f, region, spec, config.regulator,
-                                config.probes, samples=config.partition_samples,
-                                seed=f"{config.seed}:cli")
+                                config.probes, seed=f"{config.seed}:cli")
         except NotCertifiable as exc:
             print(f"not KH-integrable: {exc}", file=sys.stderr)
             return 2
@@ -136,14 +140,12 @@ def _run(args) -> int:
         region = parse_set(args.on)
         F.bound()
         oracle = phi_interval_oracle(F, region, spec, config.regulator,
-                                     config.probes, seed=f"{config.seed}:cli",
-                                     **kw)
+                                     config.probes, seed=f"{config.seed}:cli")
         member = None
         if args.member is not None:
             z = parse_value(args.member, config.value_space)
             verdict = phi_membership(z, F, region, spec, config.regulator,
-                                     config.probes, seed=f"{config.seed}:cli",
-                                     **kw)
+                                     config.probes, seed=f"{config.seed}:cli")
             member = (z, verdict)
             print("member" if verdict else "non-member", file=sys.stderr)
         _emit(report.phi_to_json(oracle, region, F.describe(), member), args)
@@ -155,7 +157,7 @@ def _run(args) -> int:
             raise SpecError("compare needs a simple multifunction (--F)")
         region = parse_set(args.on)
         rep = comparison_simple(F, region, spec, config.regulator,
-                                config.probes, seed=f"{config.seed}:cli", **kw)
+                                config.probes, seed=f"{config.seed}:cli")
         _emit(report.comparison_to_json(rep), args)
         return 0 if rep.passed else 2
 
@@ -171,6 +173,8 @@ def _run(args) -> int:
     if args.command == "counterexample":
         if args.n_max < 2:
             raise SpecError("--n-max must be at least 2")
+        if args.n_max > N_MAX:
+            raise SpecError(f"--n-max must be at most {N_MAX}")
         rep = counterexample_unboundedness(args.n_max)
         _emit(report.counterexample_to_json(rep), args)
         return 0 if rep.verdict == "UNBOUNDED" else 2

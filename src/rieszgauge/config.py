@@ -1,5 +1,5 @@
 """Run configuration: value space, measure generator, regulator, probes,
-sampling limits, seed, and the small text formats the command line accepts.
+seed, and the small text formats the command line accepts.
 
 Config files are flat INI-style key/value sections; every value can be
 overridden by a flag.  See the README for the full format.
@@ -36,11 +36,6 @@ class RunConfig:
         default_factory=lambda: Geometric(Scalar(1.0), 0.5, 0.5))
     probes: tuple[IndexMap, ...] = field(default_factory=standard_probes)
     seed: int = 0
-    partition_samples: int = 32
-
-    def __post_init__(self):
-        if self.partition_samples < 1:
-            raise SpecError("partition_samples must be at least 1")
 
     def measure_spec(self) -> MeasureSpec:
         return MeasureSpec(self.m0)
@@ -292,10 +287,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                          regulator=Geometric(config.regulator_unit(), 0.5, 0.5))
     if "probes" in raw:
         config = replace(config, probes=parse_probes(raw["probes"]))
-    for key in ("seed", "partition_samples"):
-        if key in raw:
-            try:
-                config = replace(config, **{key: int(raw[key])})
-            except ValueError:
-                raise SpecError(f"bad {key} value {raw[key]!r}")
+    if "seed" in raw:
+        try:
+            config = replace(config, seed=int(raw["seed"]))
+        except ValueError:
+            raise SpecError(f"bad seed value {raw['seed']!r}")
     return config

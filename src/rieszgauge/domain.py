@@ -25,6 +25,9 @@ _EPS = 1e-12
 #: piece a split makes; a gauge that needs more is too small to sample.
 NODE_BUDGET = 2 ** 20
 
+#: Fine partitions sampled per gauge: the canonical one and seeded random ones.
+SAMPLES = 32
+
 #: A random fill splits a piece that already fits only at depths below this.
 _SPLIT_DEPTH = 44
 

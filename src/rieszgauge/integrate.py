@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import cycle
 
-from .domain import (BorelSet, Gauge, Interval, MeasureSpec, TaggedPartition,
-                     cousin_partition, is_fine, iter_fine_partitions)
+from .domain import (SAMPLES, BorelSet, Gauge, Interval, MeasureSpec,
+                     TaggedPartition, cousin_partition, is_fine,
+                     iter_fine_partitions)
 from .errors import (EmptyProbeSet, EnvelopeTooSmall, GaugeConstructionFailed,
                      NotCertifiable, NotDisjoint)
 from .integrands import CounterexampleC00, Integrand
@@ -148,14 +149,16 @@ def certification_gauge(f: Integrand, E: BorelSet, spec: MeasureSpec,
     if lam > 0.0 and length > 0.0:
         if env_min <= 0.0:
             raise GaugeConstructionFailed(
-                "a zero envelope cannot certify a varying integrand")
+                "an envelope that is zero or below float resolution cannot "
+                "certify a varying integrand")
         interior = env_min / (lam * length * scale_m)
     boundaries = tuple(p for p in f.boundary_points()
                        if E.contains_point(p, 1e-12))
     if boundaries:
         if env_min <= 0.0:
             raise GaugeConstructionFailed(
-                "a zero envelope cannot certify across jump points")
+                "an envelope that is zero or below float resolution cannot "
+                "certify across jump points")
         if lam > 0.0:
             interior *= 0.5
         rho = env_min / (8.0 * len(boundaries) * supb.sup_norm() * scale_m)
@@ -192,7 +195,7 @@ class IntegralCertificate:
 
 
 def kh_integrate(f: Integrand, E, spec: MeasureSpec, reg: Regulator, probes,
-                 *, samples: int = 32, seed="kh") -> IntegralCertificate:
+                 *, seed="kh") -> IntegralCertificate:
     """Integrate ``f`` over ``E`` and certify the value against ``reg``.
 
     For every probe a gauge is constructed from the integrand's declared
@@ -214,7 +217,7 @@ def kh_integrate(f: Integrand, E, spec: MeasureSpec, reg: Regulator, probes,
     worst = zero_like(value)
     count = 0
     if not E.is_empty():
-        for part in iter_fine_partitions(tightest, E, samples, seed):
+        for part in iter_fine_partitions(tightest, E, SAMPLES, seed):
             dev = abs(riemann_sum(f, part, spec) - value)
             worst = worst.join(dev)
             count += 1
@@ -223,20 +226,21 @@ def kh_integrate(f: Integrand, E, spec: MeasureSpec, reg: Regulator, probes,
 
 
 def integral_additivity_check(f: Integrand, A, B, spec: MeasureSpec,
-                              reg: Regulator, probes, **kw) -> bool:
+                              reg: Regulator, probes, *, seed="kh") -> bool:
     """Additivity over disjoint sets, positivity for nonnegative integrands,
     and scalar linearity, all within twice the tightest probe envelope."""
     A, B = as_borel(A), as_borel(B)
     if A.intersection(B).length() > ORDER_SLACK:
         raise NotDisjoint("additivity needs disjoint sets")
-    both = kh_integrate(f, A.union(B), spec, reg, probes, **kw)
-    only_a = kh_integrate(f, A, spec, reg, probes, **kw)
-    only_b = kh_integrate(f, B, spec, reg, probes, **kw)
+    both = kh_integrate(f, A.union(B), spec, reg, probes, seed=seed)
+    only_a = kh_integrate(f, A, spec, reg, probes, seed=seed)
+    only_b = kh_integrate(f, B, spec, reg, probes, seed=seed)
     tol = min_envelope(reg, probes).scale(2.0)
     ok = leq(abs(both.value - only_a.value - only_b.value), tol, ORDER_SLACK)
     if f.is_nonneg():
         ok = ok and leq(zero_like(both.value), both.value, ORDER_SLACK)
-    scaled = kh_integrate(f.scaled(2.5), A.union(B), spec, reg, probes, **kw)
+    scaled = kh_integrate(f.scaled(2.5), A.union(B), spec, reg, probes,
+                          seed=seed)
     ok = ok and leq(abs(scaled.value - both.value.scale(2.5)), tol, ORDER_SLACK)
     return ok
 

@@ -119,10 +119,6 @@ class Regulator:
     def entry(self, i: int, j: int) -> RieszValue:
         raise NotImplementedError
 
-    def bound(self) -> RieszValue:
-        """A single element dominating every entry."""
-        raise NotImplementedError
-
     def describe(self) -> dict:
         raise NotImplementedError
 
@@ -161,9 +157,6 @@ class Geometric(Regulator):
 
     def entry(self, i, j):
         return self.base.scale(_pow(self.row_scale, i) * _pow(self.col_scale, j))
-
-    def bound(self):
-        return self.base.scale(self.row_scale * self.col_scale)
 
     def describe(self):
         return {"kind": "geometric", "row_scale": self.row_scale,
@@ -216,9 +209,6 @@ class FiniteMatrix(Regulator):
         row = self.rows[i - 1]
         return row[j - 1] if j <= len(row) else row[-1]
 
-    def bound(self):
-        return reduce(lambda a, b: a.join(b), (row[0] for row in self.rows))
-
     def describe(self):
         return {"kind": "finite_matrix", "rows": len(self.rows)}
 
@@ -241,9 +231,6 @@ class Scaled(Regulator):
     def entry(self, i, j):
         return self.inner.entry(i, j).scale(self.factor)
 
-    def bound(self):
-        return self.inner.bound().scale(self.factor)
-
     def describe(self):
         return {"kind": "scaled", "factor": self.factor,
                 "inner": self.inner.describe()}
@@ -259,9 +246,6 @@ class SumPair(Regulator):
 
     def entry(self, i, j):
         return self.left.entry(i, j) + self.right.entry(i, j)
-
-    def bound(self):
-        return self.left.bound() + self.right.bound()
 
     def describe(self):
         return {"kind": "sum", "left": self.left.describe(),
@@ -291,12 +275,6 @@ class FremlinCombination(Regulator):
         total = self.members[0].entry(i, j)
         for member in self.members[1:]:
             total = total + member.entry(i, j)
-        return self.cap.meet(total)
-
-    def bound(self):
-        total = self.members[0].bound()
-        for member in self.members[1:]:
-            total = total + member.bound()
         return self.cap.meet(total)
 
     def describe(self):

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 
-from .domain import (BorelSet, Gauge, MeasureSpec, TaggedPartition,
+from .domain import (SAMPLES, BorelSet, Gauge, MeasureSpec, TaggedPartition,
                      iter_fine_partitions)
 from .errors import (EmptyFamily, EmptyProbeSet, NegativeScaleUnsupported,
                      PiecesOverlap, UnboundedMultifunction, ZeroNotInValues)
@@ -301,7 +301,7 @@ def _level_schedule(F: Multifunction, E: BorelSet, spec: MeasureSpec,
     return sorted({0, 2, pred, min(pred + 2, cap), min(pred + 4, cap)})
 
 
-def _gauge_search(z, F, E, spec, env, schedule, samples, seed) -> bool:
+def _gauge_search(z, F, E, spec, env, schedule, seed) -> bool:
     """Search the halving schedule for a gauge all of whose sampled fine
     partitions bring a set-sum within ``env`` of ``z``.
 
@@ -316,21 +316,20 @@ def _gauge_search(z, F, E, spec, env, schedule, samples, seed) -> bool:
 
     finest = max(schedule)
     fine_gauge = _membership_gauge(F, E, finest)
-    extra = max(4, samples // 4)
     if not all(contained(part) for part in
-               iter_fine_partitions(fine_gauge, E, extra, f"{seed}:fine")):
+               iter_fine_partitions(fine_gauge, E, SAMPLES // 4,
+                                    f"{seed}:fine")):
         return False
     for level in schedule:
         gauge = _membership_gauge(F, E, level)
         if all(contained(part) for part in
-               iter_fine_partitions(gauge, E, samples, f"{seed}:L{level}")):
+               iter_fine_partitions(gauge, E, SAMPLES, f"{seed}:L{level}")):
             return True
     return False
 
 
 def phi_membership(z: RieszValue, F: Multifunction, E, spec: MeasureSpec,
-                   reg: Regulator, probes, *, partition_samples: int = 32,
-                   seed="phi") -> bool:
+                   reg: Regulator, probes, *, seed="phi") -> bool:
     """Membership in the set-valued integral: for every probe there must be a
     gauge (searched over a halving family pinned at the piece boundaries)
     under which every sampled fine partition's set-sum comes within the probe
@@ -348,16 +347,14 @@ def phi_membership(z: RieszValue, F: Multifunction, E, spec: MeasureSpec,
     envs = [envelope(reg, phi) for phi in probes]
     env_meet = reduce(lambda a, b: a.meet(b), envs)
     if _gauge_search(z, F, E, spec, env_meet,
-                     _level_schedule(F, E, spec, env_meet),
-                     partition_samples, seed):
+                     _level_schedule(F, E, spec, env_meet), seed):
         return True
     for env in sorted(envs, key=lambda e: e.sup_norm()):
         if env == env_meet:
             # the meet search above already exhausted exactly these radii
             return False
         if not _gauge_search(z, F, E, spec, env,
-                             _level_schedule(F, E, spec, env),
-                             partition_samples, seed):
+                             _level_schedule(F, E, spec, env), seed):
             return False
     return True
 
@@ -372,7 +369,7 @@ def endpoint_integrals(F: Multifunction, E: BorelSet,
 
 
 def phi_interval_oracle(F: Multifunction, E, spec: MeasureSpec,
-                        reg: Regulator, probes, *, partition_samples: int = 32,
+                        reg: Regulator, probes, *,
                         seed="oracle") -> OrderInterval:
     """A computable outer description of the set-valued integral: exact
     endpoint integrals for families with closed-form ends (constant and
@@ -380,10 +377,8 @@ def phi_interval_oracle(F: Multifunction, E, spec: MeasureSpec,
     E = as_borel(E)
     if F.exact_ends:
         return endpoint_integrals(F, E, spec)
-    lo = kh_integrate(F.lower, E, spec, reg, probes,
-                      samples=partition_samples, seed=f"{seed}:lo").value
-    hi = kh_integrate(F.upper, E, spec, reg, probes,
-                      samples=partition_samples, seed=f"{seed}:hi").value
+    lo = kh_integrate(F.lower, E, spec, reg, probes, seed=f"{seed}:lo").value
+    hi = kh_integrate(F.upper, E, spec, reg, probes, seed=f"{seed}:hi").value
     return OrderInterval(lo, hi)
 
 
@@ -393,37 +388,36 @@ def _diagonal_point(C: OrderInterval, alpha: float) -> RieszValue:
 
 def phi_convexity_check(F: Multifunction, E, spec: MeasureSpec,
                         reg: Regulator, probes, trials: int = 3,
-                        seed="cvx", **kw) -> bool:
+                        seed="cvx") -> bool:
     """Convex combinations of members stay members, tested with the doubled
     regulator that the convexity argument calls for."""
     E = as_borel(E)
-    oracle = phi_interval_oracle(F, E, spec, reg, probes, **kw)
+    oracle = phi_interval_oracle(F, E, spec, reg, probes)
     doubled = Scaled(SumPair(reg, reg), 2.0)
     rng = random.Random(f"{seed}")
     for _ in range(trials):
         z1 = _diagonal_point(oracle, rng.random())
         z2 = _diagonal_point(oracle, rng.random())
-        if not phi_membership(z1, F, E, spec, reg, probes, **kw):
-            return False
-        if not phi_membership(z2, F, E, spec, reg, probes, **kw):
+        if not (phi_membership(z1, F, E, spec, reg, probes)
+                and phi_membership(z2, F, E, spec, reg, probes)):
             return False
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
             z = z1.scale(alpha) + z2.scale(1.0 - alpha)
-            if not phi_membership(z, F, E, spec, doubled, probes, **kw):
+            if not phi_membership(z, F, E, spec, doubled, probes):
                 return False
     return True
 
 
 def phi_closedness_check(F: Multifunction, E, spec: MeasureSpec,
-                         reg: Regulator, probes, **kw) -> bool:
+                         reg: Regulator, probes, *, seed="phi") -> bool:
     """Membership agrees with the closed oracle interval on a grid straddling
     its boundary: endpoints are members, points beyond twice the largest probe
-    envelope are not."""
+    envelope are not.  ``seed`` seeds the oracle and every membership."""
     E = as_borel(E)
-    oracle = phi_interval_oracle(F, E, spec, reg, probes, **kw)
+    oracle = phi_interval_oracle(F, E, spec, reg, probes, seed=seed)
     for alpha in (0.0, 0.5, 1.0):
         if not phi_membership(_diagonal_point(oracle, alpha), F, E, spec,
-                              reg, probes, **kw):
+                              reg, probes, seed=seed):
             return False
     emax = max_envelope(reg, probes)
     unit = ones_like(oracle.lo)
@@ -431,31 +425,29 @@ def phi_closedness_check(F: Multifunction, E, spec: MeasureSpec,
     for factor in (1.0, 2.0):
         above = oracle.hi + step.scale(factor)
         below = oracle.lo - step.scale(factor)
-        if phi_membership(above, F, E, spec, reg, probes, **kw):
-            return False
-        if phi_membership(below, F, E, spec, reg, probes, **kw):
+        if (phi_membership(above, F, E, spec, reg, probes, seed=seed)
+                or phi_membership(below, F, E, spec, reg, probes, seed=seed)):
             return False
     return True
 
 
 def phi_monotonicity_check(F: Multifunction, A, B, spec: MeasureSpec,
-                           reg: Regulator, probes, samples: int = 3,
-                           seed="mono", **kw) -> bool:
+                           reg: Regulator, probes, seed="mono") -> bool:
     """For zero-containing values and A inside B, the integral over A sits
-    inside the integral over B."""
+    inside the integral over B, tested at three seeded points of the first."""
     A, B = as_borel(A), as_borel(B)
     if not B.contains_set(A):
         raise ValueError("monotonicity needs A inside B")
     if not F.contains_zero():
         raise ZeroNotInValues("every value interval must contain zero")
-    oracle_a = phi_interval_oracle(F, A, spec, reg, probes, **kw)
-    oracle_b = phi_interval_oracle(F, B, spec, reg, probes, **kw)
+    oracle_a = phi_interval_oracle(F, A, spec, reg, probes)
+    oracle_b = phi_interval_oracle(F, B, spec, reg, probes)
     ok = (leq(oracle_b.lo, oracle_a.lo, ORDER_SLACK)
           and leq(oracle_a.hi, oracle_b.hi, ORDER_SLACK))
     rng = random.Random(f"{seed}")
-    for _ in range(samples):
+    for _ in range(3):
         z = _diagonal_point(oracle_a, rng.random())
-        ok = ok and phi_membership(z, F, B, spec, reg, probes, **kw)
+        ok = ok and phi_membership(z, F, B, spec, reg, probes)
     return ok
 
 

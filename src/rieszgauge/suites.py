@@ -388,11 +388,10 @@ def suite_integral(config: RunConfig) -> SuiteResult:
     reg = config.regulator
     probes = config.probes
     whole = BorelSet.whole()
-    kw = dict(samples=config.partition_samples)
 
     def value(f, region, tag):
         return kh_integrate(f, region, spec, reg, probes,
-                            seed=f"{config.seed}:{tag}", **kw).value
+                            seed=f"{config.seed}:{tag}").value
 
     linear = PointwiseScalar(SCALAR_FORMS["t"], config.unit())
     drift = (value(linear, whole, "lin")
@@ -418,8 +417,7 @@ def suite_integral(config: RunConfig) -> SuiteResult:
                                 coeff=_dyadic(rng, 0.25, 3.0))
         a, b = _rand_disjoint_pair(rng)
         return integral_additivity_check(f, a, b, spec, reg, probes,
-                                         seed=f"{config.seed}:al:{t}",
-                                         **kw), 0.0
+                                         seed=f"{config.seed}:al:{t}"), 0.0
     out.run("additivity_positivity_linearity", seeded_rng(config, "addlin"),
             10, additivity)
 
@@ -446,7 +444,7 @@ def suite_integral(config: RunConfig) -> SuiteResult:
 
     try:
         kh_integrate(CounterexampleC00(), whole, MeasureSpec(Scalar(1.0)),
-                     reg, probes, **kw)
+                     reg, probes)
         out.add("counterexample_refused", 1, False)
     except NotCertifiable:
         out.add("counterexample_refused", 1, True)
@@ -464,12 +462,11 @@ def suite_setvalued(config: RunConfig) -> SuiteResult:
     reg = config.regulator
     probes = config.probes
     whole = BorelSet.whole()
-    kw = dict(partition_samples=config.partition_samples)
     accepted: list[tuple] = []
 
     def member(z, F, region, tag) -> bool:
         ok = phi_membership(z, F, region, spec, reg, probes,
-                            seed=f"{config.seed}:{tag}", **kw)
+                            seed=f"{config.seed}:{tag}")
         if ok:
             accepted.append((z, F))
         return ok
@@ -534,11 +531,11 @@ def suite_setvalued(config: RunConfig) -> SuiteResult:
             ramp_band, symmetric_ramp]
     out.add("phi_convexity", len(fams), all([
         phi_convexity_check(F, whole, spec, reg, probes, trials=2,
-                            seed=f"{config.seed}:cv:{i}", **kw)
+                            seed=f"{config.seed}:cv:{i}")
         for i, F in enumerate(fams)]))
     out.add("phi_closedness", len(fams), all([
         phi_closedness_check(F, whole, spec, reg, probes,
-                             seed=f"{config.seed}:cl:{i}", **kw)
+                             seed=f"{config.seed}:cl:{i}")
         for i, F in enumerate(fams)]))
 
     def monotone(rng, t):
@@ -549,7 +546,7 @@ def suite_setvalued(config: RunConfig) -> SuiteResult:
         b_set = rand_borel(rng)
         a_set = b_set.intersection(rand_borel(rng))
         return phi_monotonicity_check(F, a_set, b_set, spec, reg, probes,
-                                      seed=f"{config.seed}:mn:{t}", **kw), 0.0
+                                      seed=f"{config.seed}:mn:{t}"), 0.0
     out.run("phi_monotone_in_set", seeded_rng(config, "monotone"), 20,
             monotone)
 
@@ -563,14 +560,12 @@ def suite_setvalued(config: RunConfig) -> SuiteResult:
         f = PointwiseScalar(SCALAR_FORMS[name], config.unit())
         F = singleton_multifunction(f)
         value = kh_integrate(f, whole, spec, reg, probes,
-                             samples=config.partition_samples,
                              seed=f"{config.seed}:sv:{t}").value
         checks.append(phi_membership(value, F, whole, spec, reg, probes,
-                                     seed=f"{config.seed}:svm:{t}", **kw))
+                                     seed=f"{config.seed}:svm:{t}"))
         far = max_envelope(reg, probes).scale(3.0) + unit.scale(1e-6)
         checks.append(not phi_membership(value + far, F, whole, spec, reg,
-                                         probes, seed=f"{config.seed}:svf:{t}",
-                                         **kw))
+                                         probes, seed=f"{config.seed}:svf:{t}"))
     out.add("single_valued_reduction", 3, all(checks))
 
     return out
@@ -586,12 +581,11 @@ def suite_aumann(config: RunConfig) -> SuiteResult:
     reg = config.regulator
     probes = config.probes
     whole = BorelSet.whole()
-    kw = dict(partition_samples=config.partition_samples)
     grid = [i / 32.0 for i in range(33)]
 
     def hull(F, mixes, tag):
         return aumann_integral(F, whole, spec, reg, probes, mixes=mixes,
-                               seed=f"{config.seed}:{tag}", **kw).hull
+                               seed=f"{config.seed}:{tag}").hull
 
     rng = seeded_rng(config, "sandwich")
     ok = True
@@ -624,7 +618,7 @@ def suite_aumann(config: RunConfig) -> SuiteResult:
     for t, F in enumerate((ramp_band, symmetric_ramp)):
         res = hull(F, (0.0, 1.0), f"hullIV:{t}")
         iv_oracle = phi_interval_oracle(F, whole, spec, reg, probes,
-                                        seed=f"{config.seed}:hullOR:{t}", **kw)
+                                        seed=f"{config.seed}:hullOR:{t}")
         drift = max((res.lo - iv_oracle.lo).sup_norm(),
                     (res.hi - iv_oracle.hi).sup_norm())
         ok &= drift <= 1e-9
@@ -644,7 +638,7 @@ def suite_aumann(config: RunConfig) -> SuiteResult:
         F = rand_simple_set(rng, config, 5)
         region = rand_borel(rng)
         rep = comparison_simple(F, region, spec, reg, probes,
-                                seed=f"{config.seed}:cmp:{t}", **kw)
+                                seed=f"{config.seed}:cmp:{t}")
         return rep.passed, rep.max_discrepancy
     out.run("simple_comparison_three_way", seeded_rng(config, "comparison"),
             10, comparison)
@@ -654,7 +648,7 @@ def suite_aumann(config: RunConfig) -> SuiteResult:
                         rand_interval(rng, config)),))
         region = BorelSet.from_pairs([[0.5, 0.875]])
         rep = comparison_simple(F, region, spec, reg, probes,
-                                seed=f"{config.seed}:eo:{t}", **kw)
+                                seed=f"{config.seed}:eo:{t}")
         zero = mul(F.zero_value(), spec.m0)
         return all([rep.passed, (rep.sum_formula.lo - zero).is_zero(1e-12),
                     (rep.sum_formula.hi - zero).is_zero(1e-12)]), 0.0
@@ -662,7 +656,7 @@ def suite_aumann(config: RunConfig) -> SuiteResult:
             seeded_rng(config, "empty_overlap"), 3, disjoint_support)
 
     try:
-        aumann_integral(ramp_band, whole, spec, reg, probes, mixes=(), **kw)
+        aumann_integral(ramp_band, whole, spec, reg, probes, mixes=())
         out.add("empty_mix_family_rejected", 1, False)
     except EmptySelectionFamily:
         out.add("empty_mix_family_rejected", 1, True)

@@ -164,11 +164,16 @@ def test_counterexample_subcommand():
     assert [e["n"] for e in payload["entries"]] == list(range(2, 9))
 
 
-def test_counterexample_n_max_below_two_exits_1():
-    proc = run_cli("counterexample", "--n-max", "1")
+@pytest.mark.parametrize("n_max, message", [
+    pytest.param("1", "error: --n-max must be at least 2", id="1"),
+    # the run costs about n**3: on a 2-core box 400 took 12 s, 600 took 42 s
+    pytest.param("201", "error: --n-max must be at most 200", id="201"),
+])
+def test_counterexample_n_max_out_of_range_exits_1(n_max, message):
+    proc = run_cli("counterexample", "--n-max", n_max, timeout=10)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr.splitlines() == ["error: --n-max must be at least 2"]
+    assert proc.stderr.splitlines() == [message]
 
 
 def test_suite_unknown_exits_1():
@@ -256,6 +261,9 @@ def test_readme_config_example_loads_as_printed(tmp_path):
     ("integrate", "--f", "square", "--probes", "const:60"),
     ("integrate", "--f", "simple:0,0.5,1e300"),
     ("integrate", "--f", "simple:0,0.5,1e308", "--probes", "const:40"),
+    # 0.5**1e6 underflows to a zero envelope
+    ("integrate", "--f", "t", "--probes", "const:1000000"),
+    ("integrate", "--f", "simple:0,0.5,1", "--probes", "const:1000000"),
 ])
 def test_sub_resolution_gauges_exit_2(args):
     # gauges below float resolution used to hang (const:60), end in a
@@ -298,9 +306,11 @@ def test_node_budget_ends_const_18_within_seconds():
                            "pieces: the gauge is too small to sample\n")
 
 
-def test_old_max_depth_key_is_ignored(tmp_path):
+@pytest.mark.parametrize("key, value", [("max_depth", "3"),
+                                        ("partition_samples", "8")])
+def test_retired_config_keys_are_ignored(tmp_path, key, value):
     ini = tmp_path / "old.ini"
-    ini.write_text("[run]\nseed = 7\nmax_depth = 3\n")
+    ini.write_text(f"[run]\nseed = 7\n{key} = {value}\n")
     assert load_config(str(ini)) == load_config(None, {"seed": "7"})
 
 

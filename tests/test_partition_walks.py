@@ -1,7 +1,8 @@
 """The partition builders' walks: the canonical bisection against the
 recursive walk it replaced, kept here as the reference; the node budget
-that stops a gauge too small to sample; and slivers too narrow to cut,
-which become one cell or raise."""
+that stops a gauge too small to sample; slivers too narrow to cut, which
+become one cell or raise; and gauges and sets at float resolution, which
+tile or raise."""
 
 import random
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rieszgauge import domain
-from rieszgauge.domain import (BorelSet, ConstantRadius, Gauge, Interval,
-                               _carve_mandatory, _random_fine_partition,
+from rieszgauge.domain import (ANCHORED_KAPPA, BorelSet, ConstantRadius,
+                               Gauge, Interval, _carve_mandatory,
+                               _random_fine_partition,
                                cousin_partition, is_fine,
                                iter_fine_partitions, partition_borel)
 from rieszgauge.errors import DepthExceeded, EnvelopeTooSmall
@@ -201,10 +203,16 @@ def test_sliver_component_raises_when_not_fine():
         _random_fine_partition(gauge, E, random.Random(0), 10)
 
 
-def tiles(part, lo, hi) -> bool:
-    """True when the cells of ``part`` run from ``lo`` to ``hi`` end to end."""
-    ends = [lo] + [x for cell in part.triples for x in cell[:2]] + [hi]
-    return len(part) > 0 and ends[::2] == ends[1::2]
+def tiles(part, pairs) -> bool:
+    """True when the cells of ``part``, in order, run end to end across each
+    ``[lo, hi]`` of ``pairs`` and nowhere else: exactly, with no tolerance."""
+    runs: list = []
+    for lo, hi, _ in part.triples:
+        if runs and runs[-1][1] == lo:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi])
+    return runs == [list(p) for p in pairs]
 
 
 def test_split_slivers_stay_cells():
@@ -215,7 +223,7 @@ def test_split_slivers_stay_cells():
     lo, hi = 0.5, 0.5 + 2.5e-12
     E = BorelSet.from_pairs([[lo, hi]])
     for part in iter_fine_partitions(gauge, E, 200, "sl"):
-        assert tiles(part, lo, hi) and is_fine(part, gauge)
+        assert tiles(part, [(lo, hi)]) and is_fine(part, gauge)
 
 
 def test_carved_gap_sliver_is_a_cell():
@@ -228,4 +236,54 @@ def test_carved_gap_sliver_is_a_cell():
     gap = (0.3, tag - 0.05)
     assert 0.0 < gap[1] - gap[0] <= _EPS
     assert part.triples[0] == (*gap, 0.5 * (gap[0] + gap[1]))
-    assert tiles(part, 0.3, 0.5) and is_fine(part, gauge)
+    assert tiles(part, [(0.3, 0.5)]) and is_fine(part, gauge)
+
+
+# ---------------------------------------------------------------------------
+# gauges and sets at float resolution
+# ---------------------------------------------------------------------------
+
+#: Radii from just above the 1e-12 floor up to 1e-9.
+tiny = st.floats(_EPS, 1e-9, exclude_min=True)
+
+
+@st.composite
+def tiny_components(draw):
+    """A component from 0 to 1e-9 wide, anywhere in [0, 1] or ending at 1."""
+    width = draw(st.floats(0.0, 1e-9))
+    if draw(st.booleans()):
+        return (1.0 - width, 1.0)
+    lo = draw(unit)
+    return (lo, min(lo + width, 1.0))
+
+
+@st.composite
+def tiny_cases(draw):
+    """A set of one to three tiny components and a constant or anchored
+    gauge at float resolution, its tags in and around the components."""
+    E = BorelSet.from_pairs(draw(st.lists(tiny_components(), min_size=1,
+                                          max_size=3)))
+    comp = st.sampled_from(E.components)
+    near = st.builds(
+        lambda c, at, off: min(1.0, max(0.0, c.lo + at * (c.hi - c.lo) + off)),
+        comp, st.floats(0.0, 1.0), st.floats(-1e-9, 1e-9))
+    tags = draw(st.lists(near, max_size=3))
+    if draw(st.booleans()):
+        return Gauge.constant(draw(tiny), mandatory_tags=tags), E
+    # the floor of an anchored gauge is kappa / 8 times its tag radius
+    tag_radius = draw(st.floats(1.001 * 8.0 * _EPS / ANCHORED_KAPPA, 1e-9))
+    return Gauge.anchored(tags or [draw(near)], tag_radius,
+                          cap=draw(tiny)), E
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_cases(), st.integers(0, 2 ** 32))
+def test_builders_at_float_resolution_tile_or_raise(case, seed):
+    # covers would not do: its 1e-9 tolerance accepts an empty partition
+    # of a set 1e-9 wide.  The first partition is that of partition_borel.
+    gauge, E = case
+    try:
+        for part in iter_fine_partitions(gauge, E, 8, seed):
+            assert is_fine(part, gauge) and tiles(part, E.to_pairs())
+    except (EnvelopeTooSmall, DepthExceeded):
+        pass

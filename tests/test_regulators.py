@@ -123,7 +123,7 @@ def test_fremlin_entries_stay_a_regulator():
             entry = regulator_entry(combined, i, j)
             assert leq(zero_like(entry), entry)
             assert leq(regulator_entry(combined, i, j + 1), entry)
-            assert leq(entry, combined.bound(), 1e-12)
+            assert leq(entry, Scalar(3.0), 1e-12)
 
 
 def test_d_limit_constant_sequence_zero_regulator():
