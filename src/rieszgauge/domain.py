@@ -91,8 +91,8 @@ class BorelSet:
     def length(self) -> float:
         return sum(c.length() for c in self.components)
 
-    def contains_point(self, t: float, tol: float = 0.0) -> bool:
-        return any(c.lo - tol <= t <= c.hi + tol for c in self.components)
+    def contains_point(self, t: float) -> bool:
+        return any(c.lo <= t <= c.hi for c in self.components)
 
     def contains_set(self, other: "BorelSet", tol: float = _EPS) -> bool:
         """Closure containment: every component of ``other`` sits inside some

@@ -149,9 +149,10 @@ class Integrand:
 
     def compile(self, like: RieszValue, keys: tuple) -> CoordinateMap:
         """The value at a tag as floats over ``keys`` in the lattice of
-        ``like``, compiled once per Riemann sum.  This default reads
-        :meth:`value_at`; families with a closed form override it, and a
-        subclass that changes their ``value_at`` must change this too."""
+        ``like``, compiled once per Riemann sum.  Every bounded family
+        overrides it, and a subclass that changes a family's ``value_at``
+        must change this too; this default reads :meth:`value_at` and serves
+        only :class:`CounterexampleC00`, whose values have no fixed keys."""
         value_at = self.value_at
         return lambda t: coordinates(value_at(t), like, keys)
 
@@ -363,6 +364,24 @@ class SelectionIntegrand(Integrand):
         lam = self.mix_at(t)
         return (self.lower.value_at(t).scale(1.0 - lam)
                 + self.upper.value_at(t).scale(lam))
+
+    def compile(self, like, keys):
+        """``x * (1.0 - lam) + y * lam`` over the ends' floats: the float
+        expression that :meth:`value_at`'s scales and add evaluate."""
+        lower = self.lower.compile(like, keys)
+        upper = self.upper.compile(like, keys)
+        mix_at = self._mix_at
+        if len(keys) == 1:
+            def at(t):
+                lam = mix_at(t)
+                return (lower(t)[0] * (1.0 - lam) + upper(t)[0] * lam,)
+            return at
+
+        def at(t):
+            lam = mix_at(t)
+            return tuple([x * (1.0 - lam) + y * lam
+                          for x, y in zip(lower(t), upper(t))])
+        return at
 
     def zero_value(self):
         return self.lower.zero_value()

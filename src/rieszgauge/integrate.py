@@ -153,7 +153,7 @@ def certification_gauge(f: Integrand, E: BorelSet, spec: MeasureSpec,
                 "certify a varying integrand")
         interior = env_min / (lam * length * scale_m)
     boundaries = tuple(p for p in f.boundary_points()
-                       if E.contains_point(p, 1e-12))
+                       if E.contains_point(p))
     if boundaries:
         if env_min <= 0.0:
             raise GaugeConstructionFailed(

@@ -260,7 +260,7 @@ def riemann_set_sum(F: Multifunction, part: TaggedPartition,
 
 
 def _relevant_jumps(F: Multifunction, E: BorelSet) -> tuple[float, ...]:
-    return tuple(p for p in F.boundary_points() if E.contains_point(p, 1e-12))
+    return tuple(p for p in F.boundary_points() if E.contains_point(p))
 
 
 def _membership_gauge(F: Multifunction, E: BorelSet, level: int) -> Gauge:

@@ -156,6 +156,39 @@ def test_compare_two_piece():
     assert payload["aumannHull"]["hi"]["value"] == 2.0
 
 
+#: Sets that end 1e-14 short of the jump at 0.5, from either side, with the
+#: exact piece sum of ``simple:0,0.5,1;0.5,1,2`` over each.
+JUST_OFF_THE_JUMP = [
+    pytest.param("[0.50000000000001,1]", 2.0 * (1.0 - 0.50000000000001),
+                 id="right"),
+    pytest.param("[0,0.49999999999999]", 1.0 * 0.49999999999999, id="left"),
+]
+
+
+@pytest.mark.parametrize("on, piece_sum", JUST_OFF_THE_JUMP)
+def test_jump_just_outside_the_set_integrates(on, piece_sum):
+    # a jump outside the set does not bend the integrand on it, so it is not
+    # anchored; anchoring it left a sliver at the set's end that no fine
+    # cell could cover (exit 2)
+    proc = run_cli("integrate", "--f", "simple:0,0.5,1;0.5,1,2", "--on", on)
+    assert proc.returncode == 0, proc.stderr
+    payload = validated(proc.stdout)
+    assert payload["value"] == {"kind": "scalar", "value": piece_sum}
+
+
+@pytest.mark.parametrize("on, piece_sum", JUST_OFF_THE_JUMP)
+def test_compare_with_a_jump_just_outside_the_set(on, piece_sum):
+    # the lower end is the integrand above
+    spec = ('simple:[{"set": [[0, 0.5]], "lo": 1, "hi": 2},'
+            ' {"set": [[0.5, 1]], "lo": 2, "hi": 3}]')
+    proc = run_cli("compare", "--F", spec, "--on", on)
+    assert proc.returncode == 0, proc.stderr
+    payload = validated(proc.stdout)
+    assert payload["passed"] is True
+    assert payload["sumFormula"]["lo"] == {"kind": "scalar",
+                                           "value": piece_sum}
+
+
 def test_counterexample_subcommand():
     proc = run_cli("counterexample", "--n-max", "8")
     assert proc.returncode == 0

@@ -9,17 +9,21 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rieszgauge import integrands
+from rieszgauge.aumann import aumann_integral, default_mixes
 from rieszgauge.domain import (BorelSet, Gauge, Interval, MeasureSpec,
                                TaggedPartition, iter_fine_partitions)
 from rieszgauge.integrands import (SCALAR_FORMS, ConstantIntegrand,
-                                   CounterexampleC00, PieceLookup,
+                                   CounterexampleC00, Integrand, PieceLookup,
                                    PointwiseScalar, ScalarForm,
                                    SelectionIntegrand, SimpleIntegrand)
 from rieszgauge.integrate import riemann_sum
+from rieszgauge.regulators import Geometric, standard_probes
 from rieszgauge.setvalued import (ConstantSet, IntervalValued, OrderInterval,
                                   SimpleSet, riemann_set_sum,
                                   singleton_multifunction)
-from rieszgauge.values import Scalar, SparseSeq, Vector, mul, zero_like
+from rieszgauge.values import (Scalar, SparseSeq, Vector, coordinates, mul,
+                               zero_like)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +149,8 @@ class Draws:
                     for a, b in zip(cuts[::2], cuts[1::2]))
         return out or ((BorelSet.whole(), payload()),)
 
-    def integrand(self):
-        kind = self.draw(st.sampled_from(["form", "simple", "constant",
-                                          "selection"]))
+    def integrand(self, kinds=("form", "simple", "constant", "selection")):
+        kind = self.draw(st.sampled_from(kinds))
         if kind == "form":
             name = self.draw(st.sampled_from(sorted(SCALAR_FORMS)))
             return PointwiseScalar(SCALAR_FORMS[name], self.value(),
@@ -387,3 +390,105 @@ def test_counterexample_at_a_subnormal_tag():
     assert f.value_at(5e-324) == SparseSeq()
     assert_same(riemann_sum(f, part, spec),
                 reference_riemann_sum(f, part, spec))
+
+
+# ---------------------------------------------------------------------------
+# selections: compiled floats against the lattice value, tag by tag
+# ---------------------------------------------------------------------------
+
+#: The alternating 0/1 mix over a uniform grid of 16 cells that
+#: ``aumann.default_mixes`` draws.
+GRID_MIX = tuple((BorelSet.from_pairs([[i / 16, (i + 1) / 16]]), float(i % 2))
+                 for i in range(16))
+
+
+def like_and_keys(f, spec):
+    """The lattice and keys that :func:`weighted_sums` compiles ``f`` for,
+    with every index a c00 value here reaches under a scalar generator."""
+    zero = f.zero_value()
+    if isinstance(spec.m0, Scalar) and isinstance(zero, Scalar):
+        return zero, (0,)
+    like = mul(zero, spec.m0)
+    if isinstance(like, Vector):
+        return like, tuple(range(like.dim))
+    if isinstance(spec.m0, SparseSeq):
+        return like, spec.m0.support()
+    return like, (1, 2, 3)
+
+
+class SelectionDraws(Draws):
+
+    def end(self):
+        return self.integrand(kinds=("form", "simple", "constant"))
+
+    def mix(self):
+        lam = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+        kind = self.draw(st.sampled_from(["constant", "grid", "pieces"]))
+        if kind == "constant":
+            return ((BorelSet.whole(), self.draw(lam)),)
+        if kind == "grid":
+            return GRID_MIX
+        return self.pieces(lambda: self.draw(lam))
+
+    def tags(self, f):
+        ends = list(f.boundary_points())
+        drawn = self.draw(st.lists(st.floats(0.0, 1.0), max_size=8))
+        return ends + [math.nextafter(t, 2.0) for t in ends] + drawn
+
+    def endpoint_partition(self, f):
+        """Cells between consecutive piece endpoints, each tagged at one of
+        its ends."""
+        ends = sorted({0.0, 1.0, *f.boundary_points()})
+        return TaggedPartition.from_triples(
+            (a, b, self.draw(st.sampled_from([a, b])))
+            for a, b in zip(ends, ends[1:]))
+
+
+selection_lattices = st.sampled_from(["scalar", "vector:2", "c00",
+                                      "c00 under a scalar generator"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), selection_lattices)
+def test_selection_compile_matches_value_at(data, name):
+    d = SelectionDraws(data.draw, name)
+    f = SelectionIntegrand(d.end(), d.end(), d.mix())
+    like, keys = like_and_keys(f, d.spec)
+    at = f.compile(like, keys)
+    for t in d.tags(f):
+        assert at(t) == coordinates(f.value_at(t), like, keys)
+    for part in [d.endpoint_partition(f), *d.partitions()]:
+        assert (repr(riemann_sum(f, part, d.spec))
+                == repr(reference_riemann_sum(f, part, d.spec)))
+
+
+# ---------------------------------------------------------------------------
+# work: no family with a closed form goes tag by tag through value_at
+# ---------------------------------------------------------------------------
+
+def test_aumann_integral_evaluates_no_selection_tag_by_tag(monkeypatch):
+    calls = []
+    value_at = SelectionIntegrand.value_at
+
+    def counted(self, t):
+        calls.append(t)
+        return value_at(self, t)
+    monkeypatch.setattr(SelectionIntegrand, "value_at", counted)
+    F = SimpleSet(((BorelSet.from_pairs([[0.0, 0.5]]),
+                    OrderInterval(Scalar(0.0), Scalar(1.0))),
+                   (BorelSet.from_pairs([[0.5, 1.0]]),
+                    OrderInterval(Scalar(2.0), Scalar(3.0)))))
+    res = aumann_integral(F, BorelSet.whole(), MeasureSpec(Scalar(1.0)),
+                          Geometric(Scalar(1.0), 0.5, 0.5), standard_probes(),
+                          default_mixes(F))
+    assert len(res.points) == len(default_mixes(F))
+    assert calls == []
+
+
+def test_every_bounded_family_compiles():
+    families = [cls for cls in vars(integrands).values()
+                if isinstance(cls, type) and issubclass(cls, Integrand)
+                and cls is not Integrand]
+    assert SelectionIntegrand in families
+    assert [cls for cls in families if "compile" not in vars(cls)] == [
+        CounterexampleC00]
