@@ -5,8 +5,8 @@ Subcommands: ``integrate``, ``phi``, ``compare``, ``suite``,
 compact with ``--json``) that validates against ``docs/report.schema.json``.
 Output is plain text only, so NO_COLOR needs no special handling.
 
-Exit codes: 0 success, 1 usage or spec error, 2 certification failure or a
-failed suite/comparison, 3 unbounded multifunction.
+Exit codes: 0 success, 1 usage or spec error, 2 certification failure, a
+failed suite/comparison or undecided membership, 3 unbounded multifunction.
 """
 
 from __future__ import annotations
@@ -82,7 +82,9 @@ def _build_parser() -> _Parser:
                             "interval:<lower>,<upper>")
     p_phi.add_argument("--on", default="[0,1]", metavar="SET")
     p_phi.add_argument("--member", metavar="VALUE",
-                       help="also test membership of this value")
+                       help="also test membership of this value; give a "
+                            "negative one as --member=<value>, since "
+                            "-1e-3 alone reads as an option")
 
     p_cmp = sub.add_parser("compare", parents=[common],
                            help="endpoint-sum vs selection hull vs oracle "

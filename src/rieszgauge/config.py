@@ -276,6 +276,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     config = RunConfig(value_space=space)
     if "m0" in raw:
         config = replace(config, m0=parse_value(raw["m0"], space))
+        try:
+            config.measure_spec()
+        except ValueError as exc:
+            raise SpecError(f"bad m0 {raw['m0']!r}: {exc}")
     else:
         config = replace(config, m0=config.unit())
     if "regulator" in raw:

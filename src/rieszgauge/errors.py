@@ -63,3 +63,8 @@ class PiecesOverlap(RieszGaugeError):
 
 class EmptySelectionFamily(RieszGaugeError):
     """An Aumann integral was requested with no selections."""
+
+
+class MembershipUndecided(RieszGaugeError):
+    """A point lies within float rounding of an edge of the set-valued
+    integral widened by the envelope, so no membership verdict is issued."""

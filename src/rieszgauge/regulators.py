@@ -148,6 +148,8 @@ class Geometric(Regulator):
     col_scale: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for _, x in self.base.nonzero_coords()):
+            raise ValueError("geometric base must be finite")
         if not leq(zero_like(self.base), self.base):
             raise ValueError("geometric base must be nonnegative")
         if not 0.0 < self.row_scale <= 1.0:

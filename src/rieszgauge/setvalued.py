@@ -2,24 +2,26 @@
 
 Value sets are order intervals [lo, hi] (nonempty, convex, bounded, closed).
 The integral of a multifunction over a set is never materialized; it is
-exposed as a membership test (a point is approximable, uniformly over sampled
-fine partitions, by the interval Riemann set-sums) and as an interval oracle,
-with the structural checks (convexity, closedness, boundedness, monotonicity)
-tying the two together.
+exposed as an interval oracle and as a membership test.  Since every set-sum
+is the interval between the Riemann sums of the two end integrands, a point
+is in the integral up to the envelope r exactly when it lies between the end
+integrals widened by r; membership is decided from those integrals, and a
+point within float rounding of an edge is reported undecided, never as a
+verdict.  The structural checks (convexity, closedness, boundedness,
+monotonicity) tie the oracle and the membership test together.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
 from functools import reduce
 
-from .domain import (SAMPLES, BorelSet, Gauge, MeasureSpec, TaggedPartition,
-                     iter_fine_partitions)
-from .errors import (EmptyFamily, EmptyProbeSet, NegativeScaleUnsupported,
-                     PiecesOverlap, UnboundedMultifunction, ZeroNotInValues)
+from .domain import BorelSet, MeasureSpec, TaggedPartition
+from .errors import (EmptyFamily, EmptyProbeSet, MembershipUndecided,
+                     NegativeScaleUnsupported, PiecesOverlap,
+                     UnboundedMultifunction, ZeroNotInValues)
 from .integrands import (_GRID, ConstantIntegrand, Integrand, SimpleIntegrand,
                          disjoint_lookup)
 from .integrate import as_borel, kh_integrate, weighted_sums
@@ -28,9 +30,6 @@ from .values import (ORDER_SLACK, RieszValue, SparseSeq, clamp, coordinates,
                      leq, mul, ones_like, zero_like)
 
 _ORDER_MESSAGE = "an order interval needs lo <= hi"
-
-#: The finest gauge-halving level a membership search may reach.
-MAX_LEVEL = 20
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,8 @@ def set_scale(C: OrderInterval, m: RieszValue) -> OrderInterval:
 class Multifunction:
     """Base class: a map from [0, 1] into order intervals, given by its lower
     and upper end integrands.  Each family sets ``lower`` and ``upper`` once,
-    when it is built, and the value interval, the jump points, the bound,
-    the modulus and the zero are read off them here."""
+    when it is built, and the value interval, the jump points, the bound
+    and the zero are read off them here."""
 
     lower: Integrand
     upper: Integrand
@@ -144,14 +143,6 @@ class Multifunction:
             memo["_bound"] = self.lower.sup_bound().join(
                 self.upper.sup_bound())
         return memo["_bound"]
-
-    def interior_modulus(self) -> float:
-        """Lipschitz modulus of the endpoint functions away from boundaries."""
-        lams = (self.lower.lipschitz(), self.upper.lipschitz())
-        if None in lams:
-            raise UnboundedMultifunction(
-                "endpoint integrands declare no modulus")
-        return max(lams)
 
     def contains_zero(self) -> bool:
         raise NotImplementedError
@@ -259,106 +250,6 @@ def riemann_set_sum(F: Multifunction, part: TaggedPartition,
     return OrderInterval(lo, hi)
 
 
-def _relevant_jumps(F: Multifunction, E: BorelSet) -> tuple[float, ...]:
-    return tuple(p for p in F.boundary_points() if E.contains_point(p))
-
-
-def _membership_gauge(F: Multifunction, E: BorelSet, level: int) -> Gauge:
-    radius = 2.0 ** (-level)
-    anchors = _relevant_jumps(F, E)
-    if anchors and F.interior_modulus() == 0.0:
-        return Gauge.anchored(anchors, radius)
-    return Gauge.constant(radius, mandatory_tags=anchors)
-
-
-def _level_schedule(F: Multifunction, E: BorelSet, spec: MeasureSpec,
-                    env: RieszValue) -> list[int]:
-    """Gauge-halving levels to search: a few coarse ones plus the level at
-    which the set-sum wobble provably drops below the envelope.
-
-    The wobble of a fine set-sum at tag radius r is bounded by
-    ``(modulus * length + 4 * #jumps * bound) * scale * r``; multifunctions
-    with no interior variation and no jumps have partition-independent sums,
-    so only coarse levels are worth trying.
-    """
-    bound = F.bound()
-    active = mul(bound.join(ones_like(bound).scale(1e-9)), abs(spec.m0))
-    env_min = min((env.coord(k) for k, _ in active.nonzero_coords()),
-                  default=float("inf"))
-    lam = F.interior_modulus()
-    nb = len(_relevant_jumps(F, E))
-    scale_m = spec.m0.sup_norm()
-    variation = (lam * E.length() + 4.0 * nb * bound.sup_norm()) * scale_m
-    if variation <= 0.0:
-        return [0, 2]
-    # constant-radius gauges cost 2**level cells; anchored ones stay cheap
-    cap = MAX_LEVEL if (lam == 0.0 and nb > 0) else 13
-    if env_min <= 0.0 or not math.isfinite(env_min):
-        pred = cap
-    else:
-        pred = max(0, math.ceil(math.log2(4.0 * variation / env_min)))
-    pred = min(pred, cap)
-    return sorted({0, 2, pred, min(pred + 2, cap), min(pred + 4, cap)})
-
-
-def _gauge_search(z, F, E, spec, env, schedule, seed) -> bool:
-    """Search the halving schedule for a gauge all of whose sampled fine
-    partitions bring a set-sum within ``env`` of ``z``.
-
-    A coarse gauge admits every finer partition as well, so partitions built
-    at the schedule's finest level belong to every level's sample; they are
-    checked once up front, which also rejects quickly when fine set-sums
-    exclude the point.
-    """
-    def contained(part) -> bool:
-        return neighborhood_contains(riemann_set_sum(F, part, spec), env, z,
-                                     ORDER_SLACK)
-
-    finest = max(schedule)
-    fine_gauge = _membership_gauge(F, E, finest)
-    if not all(contained(part) for part in
-               iter_fine_partitions(fine_gauge, E, SAMPLES // 4,
-                                    f"{seed}:fine")):
-        return False
-    for level in schedule:
-        gauge = _membership_gauge(F, E, level)
-        if all(contained(part) for part in
-               iter_fine_partitions(gauge, E, SAMPLES, f"{seed}:L{level}")):
-            return True
-    return False
-
-
-def phi_membership(z: RieszValue, F: Multifunction, E, spec: MeasureSpec,
-                   reg: Regulator, probes, *, seed="phi") -> bool:
-    """Membership in the set-valued integral: for every probe there must be a
-    gauge (searched over a halving family pinned at the piece boundaries)
-    under which every sampled fine partition's set-sum comes within the probe
-    envelope of ``z``.
-
-    Neighborhood containment is monotone in the radius, so one gauge that
-    works for the meet of all probe envelopes settles every probe at once;
-    only when that search fails are the probes tried individually.
-    """
-    E = as_borel(E)
-    F.bound()  # raises UnboundedMultifunction when there is no common bound
-    probes = tuple(probes)
-    if not probes:
-        raise EmptyProbeSet("no probes given")
-    envs = [envelope(reg, phi) for phi in probes]
-    env_meet = reduce(lambda a, b: a.meet(b), envs)
-    if _gauge_search(z, F, E, spec, env_meet,
-                     _level_schedule(F, E, spec, env_meet), seed):
-        return True
-    for env in sorted(envs, key=lambda e: e.sup_norm()):
-        if env == env_meet:
-            # the meet search above already exhausted exactly these radii
-            return False
-        if not _gauge_search(z, F, E, spec, env,
-                             _level_schedule(F, E, spec, env), seed):
-            return False
-    return True
-
-
 def endpoint_integrals(F: Multifunction, E: BorelSet,
                        spec: MeasureSpec) -> OrderInterval:
     """The interval between the closed-form integrals of the end integrands
@@ -366,6 +257,49 @@ def endpoint_integrals(F: Multifunction, E: BorelSet,
     the dot-sum of its value intervals scaled by the measure of each piece
     inside ``E``."""
     return OrderInterval(F.lower.integral(E, spec), F.upper.integral(E, spec))
+
+
+def phi_membership(z: RieszValue, F: Multifunction, E, spec: MeasureSpec,
+                   reg: Regulator, probes, *, seed="phi") -> bool:
+    """Membership in the set-valued integral, decided from its end integrals.
+
+    Every value set is an order interval and ``m0 >= 0``, so a set-sum is the
+    interval [S_lo(P), S_hi(P)], and its r-neighbourhood holds ``z`` exactly
+    when S_lo(P) - r <= z <= S_hi(P) + r.  Both ends are gauge integrable, so
+    by Henstock's lemma ``z`` is within r of the fine set-sums of some gauge
+    exactly when ∫lo - r <= z <= ∫hi + r in every coordinate: a gap inside
+    both edges is witnessed by the meet of the two ends' certification gauges
+    at those gaps, and a gap outside an edge defeats every gauge.  The test
+    is coordinatewise and monotone in r, so the meet r of the probe
+    envelopes settles every probe at once.
+
+    Each coordinate k is compared with the band
+    ``ORDER_SLACK * max(|∫lo_k|, |∫hi_k|, |z_k|, r_k)``.  ``z`` is a member
+    when in every coordinate it lies at least the band inside both edges,
+    and a non-member when in some coordinate it lies more than the band
+    outside one; otherwise floats cannot tell, and
+    :class:`MembershipUndecided` is raised.  The band is zero only where the
+    edges and ``z`` are exact zeros (a sequence key the measure annihilates),
+    so such a coordinate is decided.  Nothing is sampled: ``seed`` is unused,
+    and kept so that callers may still pass it.
+    """
+    E = as_borel(E)
+    F.bound()  # raises UnboundedMultifunction when there is no common bound
+    probes = tuple(probes)
+    if not probes:
+        raise EmptyProbeSet("no probes given")
+    r = reduce(lambda a, b: a.meet(b), (envelope(reg, phi) for phi in probes))
+    ends = endpoint_integrals(F, E, spec)
+    band = abs(ends.lo).join(abs(ends.hi)).join(abs(z)).join(r).scale(
+        ORDER_SLACK)
+    lo_edge, hi_edge = ends.lo - r, ends.hi + r
+    if leq(lo_edge + band, z) and leq(z, hi_edge - band):
+        return True
+    if not (leq(lo_edge - band, z) and leq(z, hi_edge + band)):
+        return False
+    raise MembershipUndecided(
+        f"undecided membership: {z!r} lies within {band!r} of an edge of "
+        f"[{lo_edge!r}, {hi_edge!r}], the integral widened by the envelope")
 
 
 def phi_interval_oracle(F: Multifunction, E, spec: MeasureSpec,

@@ -7,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from rieszgauge import cli
 from rieszgauge.config import SpecError, load_config, parse_value
 from rieszgauge.values import Vector
 
@@ -388,3 +389,77 @@ def test_probe_override():
     assert proc.returncode == 0
     payload = validated(proc.stdout)
     assert [p["phi"] for p in payload["probes"]] == ["const:3", "identity"]
+
+
+def run_main(capsys, *argv):
+    """Exit code, stdout and stderr lines of ``cli.main`` in process."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err.splitlines()
+
+
+#: [-1, 1] on [0.25, 0.75]: the integral is [-0.5, 0.5], and the meet of the
+#: standard envelopes is r = 2**-9, so the edges sit at -/+(0.5 + r).
+JUMP_SET = 'simple:[{"set": [[0.25,0.75]], "lo": -1, "hi": 1}]'
+R = 2.0 ** -9
+
+
+def test_phi_point_beyond_the_lower_edge_is_a_non_member(capsys):
+    # z + r = -0.500001975 < -0.5 = ∫lo: no gauge brings a set-sum within r
+    code, out, err = run_main(capsys, "phi", "--F", JUMP_SET,
+                              "--member", "-0.5019551")
+    assert (code, err) == (0, ["non-member"])
+    assert validated(out)["member"]["verdict"] is False
+
+
+@pytest.mark.parametrize("edge", [-0.5 - R, 0.5 + R])
+def test_phi_point_on_an_edge_exits_2_undecided(capsys, edge):
+    code, out, err = run_main(capsys, "phi", "--F", JUMP_SET,
+                              f"--member={edge!r}")
+    assert (code, out, len(err)) == (2, "", 1)
+    assert err[0].startswith("error: undecided membership: ")
+    inward = -1.0 if edge > 0 else 1.0
+    for shift, verdict in ((inward, "member"), (-inward, "non-member")):
+        z = edge + shift * 0.01 * R
+        code, out, err = run_main(capsys, "phi", "--F", JUMP_SET,
+                                  f"--member={z!r}")
+        assert (code, err) == (0, [verdict])
+
+
+def test_phi_negative_member_in_exponent_notation(capsys):
+    # argparse reads a bare "-1e-3" as an option; the documented form binds
+    # it to --member
+    code, out, err = run_main(capsys, "phi", "--F", "const:0,1",
+                              "--member=-1e-3")
+    assert (code, err) == (0, ["member"])
+    assert validated(out)["member"]["point"]["value"] == -1e-3
+    code, out, err = run_main(capsys, "phi", "--F", "const:0,1",
+                              "--member=-3e-3")
+    assert (code, err) == (0, ["non-member"])
+
+
+@pytest.mark.parametrize("space, m0, message", [
+    ("scalar", "0", "must be nonzero"),
+    ("scalar", "-1", "must be nonnegative"),
+    ("vector:2", "[-1, 1]", "must be nonnegative"),
+    ("c00", "{}", "must be nonzero"),
+])
+def test_bad_m0_exits_1_with_one_line(tmp_path, capsys, space, m0, message):
+    ini = tmp_path / "m0.ini"
+    ini.write_text(f"[space]\nvalue_space = {space}\nm0 = {m0}\n")
+    for command in (["integrate", "--f", "t"], ["suite", "lattice"]):
+        code, out, err = run_main(capsys, "--config", str(ini), *command)
+        assert (code, out) == (1, "")
+        assert err == [f"error: bad m0 {m0!r}: the measure generator "
+                       f"{message}"]
+
+
+@pytest.mark.parametrize("base", ["inf", "nan", "-inf"])
+def test_non_finite_regulator_base_exits_1(tmp_path, capsys, base):
+    ini = tmp_path / "reg.ini"
+    ini.write_text(f"[regulator]\nregulator = geometric:{base}:0.5:0.5\n")
+    code, out, err = run_main(capsys, "--config", str(ini), "phi", "--F",
+                              "const:0,1", "--member", "1e300")
+    assert (code, out) == (1, "")
+    assert err == [f"error: bad regulator spec 'geometric:{base}:0.5:0.5': "
+                   f"geometric base must be finite"]

@@ -231,7 +231,6 @@ def _constant_reference(F):
     return {"value_at": lambda t: C,
             "bound": abs(C.lo).join(abs(C.hi)),
             "boundary_points": (),
-            "interior_modulus": 0.0,
             "zero_value": zero_like(C.lo)}
 
 
@@ -248,7 +247,6 @@ def _simple_reference(F):
     return {"value_at": value_at,
             "bound": bound,
             "boundary_points": piece_boundaries(F.pieces),
-            "interior_modulus": 0.0,
             "zero_value": zero}
 
 
@@ -279,8 +277,7 @@ def test_derived_methods_match_family_formulas(space):
                 F = _touching_simple_set(rng, config, centered)
             ref = _simple_reference(F)
         assert F.lower is F.lower and F.upper is F.upper
-        for name in ("bound", "boundary_points", "interior_modulus",
-                     "zero_value"):
+        for name in ("bound", "boundary_points", "zero_value"):
             assert repr(getattr(F, name)()) == repr(ref[name]), name
         for t in (*ref["boundary_points"], *grid):
             assert repr(F.value_at(t)) == repr(ref["value_at"](t)), t
