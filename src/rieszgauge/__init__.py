@@ -8,8 +8,8 @@ multifunctions with a set-valued integral (membership test plus interval
 oracle) and Aumann-style selection integrals.
 """
 
-from .values import (ORDER_SLACK, RieszValue, Scalar, SparseSeq, Vector,
-                     clamp, leq, mul, ones_like, zero_like)
+from .values import (ORDER_SLACK, RieszValue, Scalar, SparseSeq, Vector, leq,
+                     mul, ones_like, zero_like)
 from .regulators import (AffineMap, ConstantMap, ExponentialMap, FiniteMatrix,
                          FremlinCombination, Geometric, IdentityMap, IndexMap,
                          Regulator, Scaled, ShiftedMap, SumPair, d_limit_check,
@@ -26,8 +26,7 @@ from .integrate import (IntegralCertificate, ProbeReport,
                         integral_additivity_check, kh_integrate,
                         riemann_sum)
 from .setvalued import (ConstantSet, IntervalValued, Multifunction,
-                        OrderInterval, SimpleSet, dot_sum,
-                        neighborhood_contains, phi_closedness_check,
+                        OrderInterval, SimpleSet, dot_sum, phi_closedness_check,
                         phi_convexity_check, phi_interval_oracle,
                         phi_membership, phi_monotonicity_check,
                         riemann_set_sum, set_scale, singleton_multifunction)

@@ -21,8 +21,7 @@ from .errors import (EmptyProbeSet, EnvelopeTooSmall, GaugeConstructionFailed,
                      NotCertifiable, NotDisjoint)
 from .integrands import CounterexampleC00, Integrand
 from .regulators import IndexMap, Regulator, envelope, min_envelope
-from .values import (ORDER_SLACK, RieszValue, Scalar, SparseSeq, Vector,
-                     coordinate_min_over_support, coordinates,
+from .values import (ORDER_SLACK, RieszValue, Scalar, SparseSeq, coordinates,
                      from_coordinates, leq, mul, zero_like)
 
 
@@ -99,16 +98,15 @@ def weighted_sums(family, zero: RieszValue, part: TaggedPartition,
     supports that ``values_at(tag)`` reaches over the cells.
     """
     m0 = spec.m0
-    if isinstance(m0, Scalar) and isinstance(zero, Scalar):
+    if m0.broadcasts and zero.broadcasts:
         sums = _coordinate_sum(family, zero, (0,), part, (1.0,),
                                (0.0,) * copies)
         return [Scalar(s * m0.value) for s in sums]
     like = mul(zero, m0)
-    if isinstance(like, Vector):
-        keys = tuple(range(like.dim))
-    elif isinstance(m0, SparseSeq):
-        keys = m0.support()
-    else:
+    # the generator's keys, or the lattice's own under a scalar generator;
+    # the zero sequence has none, so a sequence then learns them
+    keys = like.keys if m0.broadcasts else m0.keys
+    if not keys:
         keys = tuple(sorted({k for lo, hi, tag in part.triples
                              if hi - lo != 0.0
                              for v in values_at(tag)
@@ -142,7 +140,8 @@ def certification_gauge(f: Integrand, E: BorelSet, spec: MeasureSpec,
     if lam is None:
         raise GaugeConstructionFailed(
             "the integrand declares no modulus of integrability")
-    env_min = coordinate_min_over_support(env, active)
+    env_min = min((env.coord(k) for k, _ in active.nonzero_coords()),
+                  default=float("inf"))
     length = E.length()
     scale_m = spec.m0.sup_norm()
     interior = 2.0

@@ -3,21 +3,20 @@
 A regulator is a nonnegative double sequence ``a[i][j]``, nonincreasing in
 ``j`` with column infimum zero, represented here by closed-form families so
 that the envelope ``sup_i a[i][phi(i)]`` is computable.  Index maps stand in
-for the (uncountable) space of probe functions; every supported map is
-nondecreasing, which the envelope and combination routines rely on.
+for the (uncountable) space of probe functions.  Every index map must be
+nondecreasing: the envelope and combination routines rely on it, and a
+geometric regulator reads its envelope off the first row.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
 from .errors import EmptyFamily, EmptyProbeSet, NonComputableEnvelope
 from .values import ORDER_SLACK, RieszValue, leq, zero_like
-
-#: Rows scanned when certifying an envelope supremum.
-SCAN_HORIZON = 64
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +24,10 @@ SCAN_HORIZON = 64
 # ---------------------------------------------------------------------------
 
 class IndexMap:
-    """A nondecreasing map from positive integers to positive integers."""
+    """A map from positive integers to positive integers.
+
+    Every index map is nondecreasing, ``eval(i) <= eval(i + 1)``; each
+    built-in one is, a shift keeps it so, and the envelopes assume it."""
 
     def eval(self, i: int) -> int:
         raise NotImplementedError
@@ -130,10 +132,13 @@ class Regulator:
 
 def _pow(base: float, exponent: int) -> float:
     # base in (0, 1]; guard huge exponents (exponential probes) against
-    # overflow in the int->float conversion.
+    # overflow in the int->float conversion.  Below 1, |log base| >= 1.1e-16,
+    # so an exponent beyond float range underflows to exactly 0.0.
     if base == 1.0:
         return 1.0
     if exponent > 8000:
+        if exponent > sys.float_info.max:
+            return 0.0
         log = exponent * math.log(base)
         return math.exp(log) if log > -745.0 else 0.0
     return base ** exponent
@@ -165,20 +170,10 @@ class Geometric(Regulator):
                 "col_scale": self.col_scale}
 
     def envelope(self, phi):
-        best = 0.0
-        prev_col = None
-        for i in range(1, SCAN_HORIZON + 1):
-            j = phi.eval(i)
-            if prev_col is not None and j < prev_col:
-                raise NonComputableEnvelope(
-                    "envelope scan needs a nondecreasing index map")
-            prev_col = j
-            coeff = _pow(self.row_scale, i) * _pow(self.col_scale, j)
-            if coeff > best:
-                best = coeff
-        # beyond the horizon both factors keep shrinking, so the prefix
-        # maximum is the supremum
-        return self.base.scale(best)
+        # both factors are nonincreasing in i for a nondecreasing phi, so
+        # the first row holds the supremum
+        return self.base.scale(_pow(self.row_scale, 1)
+                               * _pow(self.col_scale, phi.eval(1)))
 
 
 @dataclass(frozen=True)

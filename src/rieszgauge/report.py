@@ -14,27 +14,16 @@ from .aumann import ComparisonReport
 from .domain import BorelSet
 from .integrate import CounterexampleReport, IntegralCertificate
 from .setvalued import OrderInterval
-from .values import RieszValue, Scalar, SparseSeq, Vector
-
-
-def value_to_json(v: RieszValue) -> dict:
-    if isinstance(v, Scalar):
-        return {"kind": "scalar", "value": v.value}
-    if isinstance(v, Vector):
-        return {"kind": "vector", "values": list(v.values)}
-    if isinstance(v, SparseSeq):
-        return {"kind": "c00", "entries": {str(k): x for k, x in v.items}}
-    raise TypeError(f"not a lattice value: {v!r}")
 
 
 def interval_to_json(C: OrderInterval) -> dict:
-    return {"lo": value_to_json(C.lo), "hi": value_to_json(C.hi)}
+    return {"lo": C.lo.to_json(), "hi": C.hi.to_json()}
 
 
 def certificate_to_json(cert: IntegralCertificate) -> dict:
     return {
         "report": "certificate",
-        "value": value_to_json(cert.value),
+        "value": cert.value.to_json(),
         "regulator": cert.regulator.describe(),
         "probes": [
             {
@@ -58,7 +47,7 @@ def phi_to_json(oracle: OrderInterval, E: BorelSet, description: str,
     }
     if member is not None:
         point, verdict = member
-        out["member"] = {"point": value_to_json(point), "verdict": verdict}
+        out["member"] = {"point": point.to_json(), "verdict": verdict}
     return out
 
 
@@ -70,7 +59,7 @@ def comparison_to_json(rep: ComparisonReport) -> dict:
         "phiOracle": interval_to_json(rep.phi_oracle),
         "maxDiscrepancy": rep.max_discrepancy,
         "membershipChecks": [
-            {"point": value_to_json(p), "member": flag}
+            {"point": p.to_json(), "member": flag}
             for p, flag in rep.membership_checks
         ],
         "passed": rep.passed,

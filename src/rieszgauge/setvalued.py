@@ -26,8 +26,8 @@ from .integrands import (_GRID, ConstantIntegrand, Integrand, SimpleIntegrand,
                          disjoint_lookup)
 from .integrate import as_borel, kh_integrate, weighted_sums
 from .regulators import Regulator, Scaled, SumPair, envelope, max_envelope
-from .values import (ORDER_SLACK, RieszValue, SparseSeq, clamp, coordinates,
-                     leq, mul, ones_like, zero_like)
+from .values import (ORDER_SLACK, RieszValue, coordinates, leq, mul,
+                     ones_like, zero_like)
 
 _ORDER_MESSAGE = "an order interval needs lo <= hi"
 
@@ -53,14 +53,6 @@ class OrderInterval:
     def coordinates(self, like: RieszValue, keys) -> tuple[float, ...]:
         """The floats of ``lo`` over ``keys`` followed by those of ``hi``."""
         return coordinates(self.lo, like, keys) + coordinates(self.hi, like, keys)
-
-
-def neighborhood_contains(C: OrderInterval, r: RieszValue, z: RieszValue,
-                          slack: float = 0.0) -> bool:
-    """Whether some point of C lies within ``r`` of ``z``; exact for order
-    intervals via componentwise clamping."""
-    witness = clamp(z, C.lo, C.hi)
-    return leq(abs(z - witness), r, slack)
 
 
 def dot_sum(sets) -> OrderInterval:
@@ -113,15 +105,14 @@ class Multifunction:
         # the order is checked on every coordinate either end can reach, so
         # in a sequence space also where the measure vanishes
         n = len(keys)
-        if isinstance(like, SparseSeq):
-            try:
-                bound = self.bound()
-            except UnboundedMultifunction:
-                value_at = self.value_at
-                return list(zip(*(value_at(t).coordinates(like, keys)
-                                  for t in tags)))
-            keys = keys + tuple(k for k, _ in bound.nonzero_coords()
-                                if k not in keys)
+        try:
+            bound = self.bound()
+        except UnboundedMultifunction:
+            value_at = self.value_at
+            return list(zip(*(value_at(t).coordinates(like, keys)
+                              for t in tags)))
+        keys = keys + tuple(k for k, _ in bound.nonzero_coords()
+                            if k not in keys)
         lower = self.lower.columns(like, keys, tags)
         upper = self.upper.columns(like, keys, tags)
         for lo, hi in zip(lower, upper):

@@ -438,6 +438,27 @@ def test_phi_negative_member_in_exponent_notation(capsys):
     assert (code, err) == (0, ["non-member"])
 
 
+#: A probe index beyond float range.
+HUGE = "9" * 400
+
+
+@pytest.mark.parametrize("command, exit_code", [
+    (("integrate", "--f", "t"), 2),
+    (("phi", "--F", "const:0,1", "--member", "0.5"), 0),
+], ids=["integrate", "phi"])
+@pytest.mark.parametrize("probe", [f"const:{HUGE}", f"affine:1:{HUGE}",
+                                   f"affine:{HUGE}:0"],
+                         ids=["const", "offset", "slope"])
+def test_probe_beyond_float_range_ends_as_const_1e300(capsys, command,
+                                                      exit_code, probe):
+    # 0.5 to such a power underflows to 0.0, as 0.5**(10**300) does; its
+    # conversion to float used to end in an OverflowError traceback
+    code, out, err = run_main(capsys, *command, "--probes", probe)
+    assert (code, len(err)) == (exit_code, 1)
+    want = run_main(capsys, *command, "--probes", f"const:{10 ** 300}")
+    assert (code, err) == (want[0], want[2])
+
+
 @pytest.mark.parametrize("space, m0, message", [
     ("scalar", "0", "must be nonzero"),
     ("scalar", "-1", "must be nonnegative"),

@@ -20,12 +20,12 @@ from rieszgauge.domain import (SAMPLES, BorelSet, Gauge, MeasureSpec,
 from rieszgauge.errors import MembershipUndecided
 from rieszgauge.regulators import Geometric, envelope, standard_probes
 from rieszgauge.setvalued import (ConstantSet, OrderInterval,
-                                  endpoint_integrals, neighborhood_contains,
-                                  phi_membership, riemann_set_sum)
+                                  endpoint_integrals, phi_membership,
+                                  riemann_set_sum)
 from rieszgauge.suites import (builtin_interval_multifunctions, rand_borel,
                                rand_interval, rand_simple_set)
-from rieszgauge.values import (ORDER_SLACK, Scalar, SparseSeq, Vector, mul,
-                               ones_like)
+from rieszgauge.values import (ORDER_SLACK, Scalar, SparseSeq, Vector, leq,
+                               mul, ones_like)
 
 PROBES = standard_probes()
 
@@ -35,6 +35,21 @@ PROBES = standard_probes()
 
 #: The finest gauge-halving level the search may reach.
 MAX_LEVEL = 20
+
+
+def neighborhood_contains(C, r, z, slack=0.0):
+    """Whether some point of the order interval C lies within ``r`` of
+    ``z``; exact, via the componentwise clamp of ``z`` onto C."""
+    witness = z.join(C.lo).meet(C.hi)
+    return leq(abs(z - witness), r, slack)
+
+
+def test_neighborhood_examples():
+    def interval(lo, hi):
+        return OrderInterval(Scalar(lo), Scalar(hi))
+    assert neighborhood_contains(interval(0, 1), Scalar(0.5), Scalar(1.4))
+    assert not neighborhood_contains(interval(0, 1), Scalar(0.5), Scalar(1.6))
+    assert neighborhood_contains(interval(0, 0), Scalar(0.0), Scalar(0.0))
 
 
 def _interior_modulus(F) -> float:

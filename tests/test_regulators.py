@@ -1,6 +1,7 @@
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rieszgauge.errors import EmptyFamily, EmptyProbeSet
 from rieszgauge.regulators import (AffineMap, ConstantMap, ExponentialMap,
@@ -8,9 +9,9 @@ from rieszgauge.regulators import (AffineMap, ConstantMap, ExponentialMap,
                                    IndexMap,
                                    Scaled, ShiftedMap, SumPair, d_limit_check,
                                    envelope, fremlin_combine, min_envelope,
-                                   regulator_entry, standard_probes,
+                                   _pow, regulator_entry, standard_probes,
                                    zero_regulator)
-from rieszgauge.values import Scalar, Vector, leq, zero_like
+from rieszgauge.values import Scalar, SparseSeq, Vector, leq, zero_like
 
 GEO = Geometric(Scalar(1.0), 0.5, 0.5)
 
@@ -85,6 +86,50 @@ def test_weak_sigma_distributivity_witness():
 
 def test_huge_exponential_columns_underflow_cleanly():
     assert envelope(GEO, ShiftedMap(ExponentialMap(), 50)) == Scalar(0.0)
+
+
+def scan_envelope(reg, phi, rows=64):
+    """The row scan that ``Geometric.envelope`` ran before its closed form:
+    the largest coefficient over the first ``rows`` rows, for a probe that
+    must be nondecreasing there."""
+    best = 0.0
+    prev_col = None
+    for i in range(1, rows + 1):
+        j = phi.eval(i)
+        assert prev_col is None or j >= prev_col
+        prev_col = j
+        coeff = _pow(reg.row_scale, i) * _pow(reg.col_scale, j)
+        if coeff > best:
+            best = coeff
+    return reg.base.scale(best)
+
+
+#: Exponents that cross ``_pow``'s switch to logarithms at 8,000.
+EXPONENTS = st.one_of(st.integers(1, 40), st.integers(7_900, 8_100),
+                      st.integers(1, 10 ** 6))
+
+
+def index_maps():
+    leaves = st.one_of(
+        st.builds(ConstantMap, EXPONENTS),
+        st.builds(AffineMap, st.integers(1, 200), st.integers(0, 8_100)),
+        st.just(IdentityMap()), st.just(ExponentialMap()))
+    return st.one_of(leaves, st.builds(ShiftedMap, leaves, EXPONENTS))
+
+
+SCALES = st.one_of(st.sampled_from([0.5, 0.9, 1e-300, 1.0 - 2 ** -52]),
+                   st.floats(1e-300, 1.0))
+
+
+BASES = st.sampled_from([Scalar(1.0), Scalar(3.5), Vector([1.0, 2.0]),
+                         SparseSeq({1: 1.0, 4: 0.25})])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(BASES, SCALES, SCALES.filter(lambda c: c < 1.0), index_maps())
+def test_geometric_envelope_is_its_first_row(base, row, col, phi):
+    reg = Geometric(base, row, col)
+    assert repr(reg.envelope(phi)) == repr(scan_envelope(reg, phi))
 
 
 def test_fremlin_combination_dominates():

@@ -15,7 +15,7 @@ from rieszgauge.integrate import kh_integrate
 from rieszgauge.regulators import (Geometric, max_envelope, min_envelope,
                                    standard_probes)
 from rieszgauge.setvalued import (ConstantSet, IntervalValued, OrderInterval,
-                                  SimpleSet, dot_sum, neighborhood_contains,
+                                  SimpleSet, dot_sum,
                                   phi_closedness_check, phi_convexity_check,
                                   phi_interval_oracle, phi_membership,
                                   phi_monotonicity_check,
@@ -37,12 +37,6 @@ TWO_PIECE = SimpleSet(((BorelSet.from_pairs([[0.0, 0.5]]),
 
 def interval(lo, hi):
     return OrderInterval(Scalar(lo), Scalar(hi))
-
-
-def test_neighborhood_examples():
-    assert neighborhood_contains(interval(0, 1), Scalar(0.5), Scalar(1.4))
-    assert not neighborhood_contains(interval(0, 1), Scalar(0.5), Scalar(1.6))
-    assert neighborhood_contains(interval(0, 0), Scalar(0.0), Scalar(0.0))
 
 
 def test_dot_sum_examples():
