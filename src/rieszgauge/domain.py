@@ -616,7 +616,8 @@ def _fill_random(radius, lo: float, hi: float, rng: random.Random,
         else:
             tag = a + 0.5 * width
             accepted = None
-            if 0.5 * width < (radius if gamma is None else gamma(tag)):
+            gt = radius if gamma is None else gamma(tag)
+            if tag - a < gt and b - tag < gt:
                 accepted = tag
             else:
                 if gb is None:

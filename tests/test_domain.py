@@ -187,7 +187,8 @@ def _sampled_partitions_digest() -> dict:
     h = hashlib.sha256()
     partitions = cells = 0
     for gauge, E, seed in _sampled_partition_cases():
-        for part in iter_fine_partitions(gauge, E, 8, seed):
+        for k, part in enumerate(iter_fine_partitions(gauge, E, 8, seed)):
+            assert is_fine(part, gauge), (seed, k)
             h.update(json.dumps(part.to_triples()).encode() + b"\n")
             partitions += 1
             cells += len(part)
@@ -196,7 +197,8 @@ def _sampled_partitions_digest() -> dict:
 
 def test_sampled_partitions_are_pinned():
     # every partition the samplers build, canonical and random, over all
-    # three radius kinds, bit for bit
+    # three radius kinds, bit for bit; the digest also requires each to be
+    # fine for its gauge
     golden = json.loads((GOLDEN / "sampled_partitions.json").read_text())
     assert _sampled_partitions_digest() == golden
 
