@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DepthExceeded, EnvelopeTooSmall, NotDisjoint
 from .regulators import ConstantMap, Geometric, IndexMap, Regulator, envelope
@@ -243,6 +243,26 @@ class PiecewiseRadius:
                 "values": list(self.values)}
 
 
+class Tent(NamedTuple):
+    """An anchored radius on a gap between two neighbouring anchors,
+    ``min(cap, kappa * distance to the nearer of left and right)``, where a
+    missing neighbour is an infinite one, which never wins.  The random and
+    canonical walks read the four floats and evaluate it inline; a call
+    returns the same float."""
+
+    left: float
+    right: float
+    kappa: float
+    cap: float
+
+    def __call__(self, t: float) -> float:
+        best = self.right - t
+        if t - self.left < best:
+            best = t - self.left
+        r = self.kappa * best
+        return r if r < self.cap else self.cap
+
+
 @dataclass(frozen=True)
 class AnchoredRadius:
     """Radius ``min(cap, kappa * distance to the nearest anchor)``, with a
@@ -300,27 +320,18 @@ class AnchoredRadius:
             return r if r < cap else cap
         return at
 
-    def on_gap(self, lo: float, hi: float) -> Callable[[float], float] | None:
-        """:meth:`compile` on [lo, hi], which holds no anchor: the nearest
-        anchors are the same at every point there, so the closure fixes them
-        and returns the same float without a search (a missing neighbour is
-        an infinite one, which never wins).  None when an anchor lies in
+    def on_gap(self, lo: float, hi: float) -> "Tent | None":
+        """:meth:`compile` on [lo, hi] as data: the :class:`Tent` of the
+        anchors next to [lo, hi], which are the nearest ones at every point
+        there when it holds no anchor.  None when an anchor lies in
         [lo, hi]."""
         anchors = self.anchors
         i = _bisect.bisect_left(anchors, lo)
         if i < len(anchors) and anchors[i] <= hi:
             return None
-        left = anchors[i - 1] if i else -math.inf
-        right = anchors[i] if i < len(anchors) else math.inf
-        kappa, cap = self.kappa, self.cap
-
-        def at(t):
-            best = right - t
-            if t - left < best:
-                best = t - left
-            r = kappa * best
-            return r if r < cap else cap
-        return at
+        return Tent(anchors[i - 1] if i else -math.inf,
+                    anchors[i] if i < len(anchors) else math.inf,
+                    self.kappa, self.cap)
 
     def describe(self):
         return {"kind": "anchored", "anchors": list(self.anchors),
@@ -377,9 +388,10 @@ class Gauge:
                    anchors, floor)
 
     def on_gap(self, lo: float, hi: float):
-        """The radius on [lo, hi], a stretch free of mandatory tags: a float
-        where it is constant, so that it costs no call, otherwise a function
-        of the point that returns what :attr:`gamma` returns there."""
+        """The radius on [lo, hi], a stretch free of mandatory tags, as the
+        walks read it: a float where it is constant and a :class:`Tent`
+        between two anchors, both evaluated without a call, otherwise
+        :attr:`gamma`.  Each returns what :attr:`gamma` returns there."""
         radius = self.radius.on_gap(lo, hi)
         return self.gamma if radius is None else radius
 
@@ -459,25 +471,33 @@ def is_fine(part: TaggedPartition, gauge: Gauge) -> bool:
     return True
 
 
-def _carve_mandatory(gauge: Gauge, lo: float, hi: float, shrink=None) -> list:
-    """The cells pinned at each mandatory tag inside [lo, hi] and the gaps
-    left between them, in order: a cell is a ``(lo, hi, tag)`` triple and a
-    gap a ``(lo, hi)`` pair.  Every cell is carved, and ``shrink`` called,
-    before the list is returned."""
+def _carve_plan(gauge: Gauge, lo: float, hi: float) -> list:
+    """The mandatory tags inside [lo, hi], in order, each paired with the
+    half-width of its cell before any shrink: half the radius there, and at
+    most a quarter of the way to each neighbouring tag."""
     tags = sorted(p for p in gauge.mandatory_tags if lo <= p <= hi)
-    cells = []
+    plan = []
     for idx, p in enumerate(tags):
         h = gauge.gamma(p) / 2.0
         if idx > 0:
             h = min(h, (p - tags[idx - 1]) / 4.0)
         if idx + 1 < len(tags):
             h = min(h, (tags[idx + 1] - p) / 4.0)
-        if shrink is not None:
-            h *= shrink(p)
-        cells.append((max(lo, p - h), min(hi, p + h), p))
+        plan.append((p, h))
+    return plan
+
+
+def _carve(plan: list, lo: float, hi: float, shrink=None) -> list:
+    """The cells pinned at the tags of ``plan`` and the gaps left between
+    them in [lo, hi], in order: a cell is a ``(lo, hi, tag)`` triple and a
+    gap a ``(lo, hi)`` pair.  ``shrink(tag)`` scales a half-width; it is
+    called for every cell, in order, before the list is returned."""
     pieces = []
     cursor = lo
-    for cell in cells:
+    for p, h in plan:
+        if shrink is not None:
+            h *= shrink(p)
+        cell = (max(lo, p - h), min(hi, p + h), p)
         if cell[0] > cursor:
             pieces.append((cursor, cell[0]))
         pieces.append(cell)
@@ -485,6 +505,11 @@ def _carve_mandatory(gauge: Gauge, lo: float, hi: float, shrink=None) -> list:
     if hi > cursor:
         pieces.append((cursor, hi))
     return pieces
+
+
+def _carve_mandatory(gauge: Gauge, lo: float, hi: float, shrink=None) -> list:
+    """:func:`_carve` of [lo, hi] from its :func:`_carve_plan`."""
+    return _carve(_carve_plan(gauge, lo, hi), lo, hi, shrink)
 
 
 def _sliver(radius, a: float, b: float, tag: float) -> tuple:
@@ -504,34 +529,44 @@ def _fill_canonical(radius, lo: float, hi: float, nodes: int,
     """Bisect [lo, hi], depth first and left piece first, until each piece
     fits the ball of its midpoint, right or left endpoint (preferred in that
     order); append the cells to ``out`` and return what is left of the node
-    budget ``nodes``.  ``radius`` is that of :meth:`Gauge.on_gap`; a float
-    one is tried at the midpoint only, since rounding is monotone:
-    ``fl(b - a) >= max(fl(mid - a), fl(b - mid))``.  A piece of width at
-    most ``_EPS`` is a :func:`_sliver` cell tagged at its midpoint, which
-    every piece of [0, 1] becomes by depth 40."""
-    gamma = radius if callable(radius) else None
-    stack = [(lo, hi)]
+    budget ``nodes``.  ``radius`` is that of :meth:`Gauge.on_gap`, read as
+    :func:`_fill_random` reads it, and the radius at a midpoint travels down
+    to the halves as an endpoint's.  A piece of width at most ``_EPS`` is a
+    :func:`_sliver` cell tagged at its midpoint, which every piece of [0, 1]
+    becomes by depth 40."""
+    tent = isinstance(radius, Tent)
+    gamma = None if tent or not callable(radius) else radius
+    if tent:
+        left, right, kappa, cap = radius
+    ends = (radius(lo), radius(hi)) if callable(radius) else (radius, radius)
+    stack = [(lo, hi, *ends)]
     pop, push = stack.pop, stack.append
     while stack:
-        a, b = pop()
+        a, b, ga, gb = pop()
         mid = 0.5 * (a + b)
         if b - a <= _EPS:
             out.append(_sliver(radius, a, b, mid))
             continue
-        if gamma is None:
-            tag = mid if mid - a < radius and b - mid < radius else None
-        elif max(mid - a, b - mid) < gamma(mid):
-            tag = mid
+        if tent:                            # Tent.__call__, inline
+            d, e = mid - left, right - mid
+            gm = kappa * (d if d < e else e)
+            gm = gm if gm < cap else cap
         else:
-            tag = b if b - a < gamma(b) else a if b - a < gamma(a) else None
-        if tag is not None:
-            out.append((a, b, tag))
-            continue
-        nodes -= 2
-        if nodes < 0:
-            raise _over_budget()
-        push((mid, b))
-        push((a, mid))
+            gm = radius if gamma is None else gamma(mid)
+        # a float radius that misses the midpoint misses both endpoints,
+        # since rounding is monotone: fl(b - a) >= fl(mid - a), fl(b - mid)
+        if mid - a < gm and b - mid < gm:
+            out.append((a, b, mid))
+        elif b - a < gb:
+            out.append((a, b, b))
+        elif b - a < ga:
+            out.append((a, b, a))
+        else:
+            nodes -= 2
+            if nodes < 0:
+                raise _over_budget()
+            push((mid, b, gm, gb))
+            push((a, mid, ga, gm))
     return nodes
 
 
@@ -541,19 +576,18 @@ def _over_budget() -> EnvelopeTooSmall:
         "is too small to sample")
 
 
-def _component_pieces(gauge: Gauge, lo: float, hi: float,
+def _component_pieces(gauge: Gauge, lo: float, hi: float, plan: list,
                       shrink=None) -> list:
-    """The pieces of :func:`_carve_mandatory` for the component [lo, hi].
-    A component no wider than ``_EPS`` is one :func:`_sliver` cell instead,
-    tagged at its mandatory tag if it holds one and otherwise at its
-    midpoint."""
+    """The pieces of :func:`_carve` for the component [lo, hi] and its
+    ``plan``.  A component no wider than ``_EPS`` is one :func:`_sliver`
+    cell instead, tagged at its first mandatory tag if it holds one and
+    otherwise at its midpoint."""
     if hi - lo <= 0.0:
         return [(lo, hi, lo)]
-    pieces = _carve_mandatory(gauge, lo, hi, shrink)
+    pieces = _carve(plan, lo, hi, shrink)
     if hi - lo > _EPS:
         return pieces
-    tag = min((p for p in gauge.mandatory_tags if lo <= p <= hi),
-              default=0.5 * (lo + hi))
+    tag = plan[0][0] if plan else 0.5 * (lo + hi)
     return [_sliver(gauge.gamma, lo, hi, tag)]
 
 
@@ -570,16 +604,7 @@ def cousin_partition(gauge: Gauge, E: Interval) -> TaggedPartition:
 
 def partition_borel(gauge: Gauge, E: BorelSet) -> TaggedPartition:
     """Concatenated fine partitions of every component of a Borel set."""
-    out: list = []
-    nodes = NODE_BUDGET
-    for comp in E.components:
-        for piece in _component_pieces(gauge, comp.lo, comp.hi):
-            if len(piece) == 3:
-                out.append(piece)
-            else:
-                nodes = _fill_canonical(gauge.on_gap(*piece), *piece, nodes,
-                                        out)
-    return TaggedPartition.from_triples(out)
+    return _fine_partition(gauge, _carve_plans(gauge, E))
 
 
 def _fill_random(radius, lo: float, hi: float, rng: random.Random,
@@ -591,85 +616,105 @@ def _fill_random(radius, lo: float, hi: float, rng: random.Random,
     left endpoint; a piece that fits is split anyway now and then, at depths
     below ``_SPLIT_DEPTH`` while the split budget lasts, and a piece that
     does not fit is cut at a length sized to the gauge at its friendlier
-    endpoint.  Pieces are visited depth first, left piece first, and the
-    radii already known at a piece's endpoints travel down to its halves.
-    ``radius`` is that of :meth:`Gauge.on_gap`; a constant one is known
-    everywhere.  ``rng.uniform(x, y)`` is spelled out as the
+    endpoint.  Pieces are visited depth first, left piece first: the walk
+    goes on with the left piece in place and stacks the right one, and the
+    radius at each cut, evaluated as it is made, travels down to both halves
+    as an endpoint's.  ``radius`` is that of :meth:`Gauge.on_gap`; this walk
+    and :func:`_fill_canonical` evaluate a float or a :class:`Tent` inline,
+    with the float operations of a call, and call :attr:`Gauge.gamma`
+    otherwise.  ``rng.uniform(x, y)`` is spelled out as the
     ``x + (y - x) * rng.random()`` it evaluates.  A piece of width at most
     ``_EPS`` is a :func:`_sliver` cell tagged at its midpoint.
     """
     draw = rng.random
-    gamma = radius if callable(radius) else None
-    known = radius if gamma is None else None
-    stack = [(lo, hi, 0, known, known)]
+    tent = isinstance(radius, Tent)
+    gamma = None if tent or not callable(radius) else radius
+    if tent:
+        left, right, kappa, cap = radius
+    ga, gb = (radius(lo), radius(hi)) if callable(radius) else (radius, radius)
+    a, b, depth = lo, hi, 0
+    stack: list = []
     pop, push = stack.pop, stack.append
-    while stack:
-        a, b, depth, ga, gb = pop()
+    while True:
         width = b - a
         if width <= _EPS:
             out.append(_sliver(radius, a, b, 0.5 * (a + b)))
-            continue
-        tag = a + width * (0.25 + (0.75 - 0.25) * draw())
-        gt = radius if gamma is None else gamma(tag)
-        if tag - a < gt and b - tag < gt:
-            accepted = tag
         else:
-            tag = a + 0.5 * width
-            accepted = None
-            gt = radius if gamma is None else gamma(tag)
-            if tag - a < gt and b - tag < gt:
-                accepted = tag
+            tag = a + width * (0.25 + (0.75 - 0.25) * draw())
+            if tent:                        # Tent.__call__, inline
+                d, e = tag - left, right - tag
+                gt = kappa * (d if d < e else e)
+                gt = gt if gt < cap else cap
             else:
-                if gb is None:
-                    gb = gamma(b)
-                if width < gb:
-                    accepted = b
+                gt = radius if gamma is None else gamma(tag)
+            if not (tag - a < gt and b - tag < gt):
+                tag = a + 0.5 * width
+                if tent:
+                    d, e = tag - left, right - tag
+                    gt = kappa * (d if d < e else e)
+                    gt = gt if gt < cap else cap
                 else:
-                    if ga is None:
-                        ga = gamma(a)
-                    if width < ga:
-                        accepted = a
-        if accepted is not None:
-            if not (split_budget > 0 and depth < _SPLIT_DEPTH
-                    and draw() < 0.45):
-                out.append((a, b, accepted))
+                    gt = radius if gamma is None else gamma(tag)
+                if not (tag - a < gt and b - tag < gt):
+                    tag = b if width < gb else a if width < ga else None
+            if tag is None or (split_budget > 0 and depth < _SPLIT_DEPTH
+                               and draw() < 0.45):
+                if tag is None:
+                    # march toward the region that forces small cells: carve
+                    # off a piece sized to the gauge at the friendlier
+                    # endpoint so it accepts at once; the clamps spell out
+                    # min(max(step, 0.2 * width), 0.7 * width)
+                    step = 0.9 * (ga if ga >= gb else gb) * (
+                        0.8 + (1.0 - 0.8) * draw())
+                    if step < 0.2 * width:
+                        step = 0.2 * width
+                    if step > 0.7 * width:
+                        step = 0.7 * width
+                    cut = a + step if ga >= gb else b - step
+                else:
+                    split_budget -= 1
+                    cut = a + width * (0.35 + (0.65 - 0.35) * draw())
+                nodes -= 2
+                if nodes < 0:
+                    raise _over_budget()
+                if tent:
+                    d, e = cut - left, right - cut
+                    gc = kappa * (d if d < e else e)
+                    gc = gc if gc < cap else cap
+                else:
+                    gc = radius if gamma is None else gamma(cut)
+                depth += 1
+                push((cut, b, depth, gc, gb))
+                b, gb = cut, gc
                 continue
-            split_budget -= 1
-            cut = a + width * (0.35 + (0.65 - 0.35) * draw())
-        else:
-            # march toward the region that forces small cells: carve off a
-            # piece sized to the gauge at the friendlier endpoint so it
-            # accepts at once
-            if ga is None:
-                ga = gamma(a)
-            if gb is None:
-                gb = gamma(b)
-            # min(max(step, 0.2 * width), 0.7 * width), without the calls
-            step = 0.9 * (ga if ga >= gb else gb) * (0.8 + (1.0 - 0.8) * draw())
-            if step < 0.2 * width:
-                step = 0.2 * width
-            if step > 0.7 * width:
-                step = 0.7 * width
-            cut = a + step if ga >= gb else b - step
-        nodes -= 2
-        if nodes < 0:
-            raise _over_budget()
-        push((cut, b, depth + 1, known, gb))
-        push((a, cut, depth + 1, ga, known))
-    return split_budget, nodes
+            out.append((a, b, tag))
+        if not stack:
+            return split_budget, nodes
+        a, b, depth, ga, gb = pop()
 
 
-def _random_fine_partition(gauge: Gauge, E: BorelSet, rng: random.Random,
-                           split_budget: int) -> TaggedPartition:
-    """Each component's carved cells, with shrinks drawn before any fill,
-    and random fills of the gaps between them, in cell order."""
+def _carve_plans(gauge: Gauge, E: BorelSet) -> list:
+    """Each component of ``E`` with its :func:`_carve_plan`."""
+    return [(c.lo, c.hi, _carve_plan(gauge, c.lo, c.hi))
+            for c in E.components]
+
+
+def _fine_partition(gauge: Gauge, plans: list, rng=None,
+                    split_budget: int = 0) -> TaggedPartition:
+    """The canonical fine partition of the components of ``plans``, or with
+    ``rng`` a seeded random one: each component's carved cells, with their
+    shrinks drawn before any fill, and random fills of the gaps between
+    them, in cell order."""
     out: list = []
     nodes = NODE_BUDGET
-    for comp in E.components:
-        for piece in _component_pieces(gauge, comp.lo, comp.hi,
-                                       lambda p: rng.uniform(0.5, 0.999)):
+    shrink = None if rng is None else lambda p: rng.uniform(0.5, 0.999)
+    for lo, hi, plan in plans:
+        for piece in _component_pieces(gauge, lo, hi, plan, shrink):
             if len(piece) == 3:
                 out.append(piece)
+            elif rng is None:
+                nodes = _fill_canonical(gauge.on_gap(*piece), *piece, nodes,
+                                        out)
             else:
                 split_budget, nodes = _fill_random(
                     gauge.on_gap(*piece), *piece, rng, split_budget, nodes,
@@ -677,18 +722,25 @@ def _random_fine_partition(gauge: Gauge, E: BorelSet, rng: random.Random,
     return TaggedPartition.from_triples(out)
 
 
+def _random_fine_partition(gauge: Gauge, E: BorelSet, rng: random.Random,
+                           split_budget: int) -> TaggedPartition:
+    """A seeded random fine partition of ``E``."""
+    return _fine_partition(gauge, _carve_plans(gauge, E), rng, split_budget)
+
+
 def iter_fine_partitions(gauge: Gauge, E: BorelSet, count: int, seed):
     """Lazily yield the canonical fine partition and seeded random fine
-    perturbations.
+    perturbations, all carved from one plan of the mandatory tags.
 
     Perturbations randomize split points, tags, and carve widths, and a
     fraction of them refine several levels deeper so the sample mixes scales.
     """
-    yield partition_borel(gauge, E)
+    plans = _carve_plans(gauge, E)
+    yield _fine_partition(gauge, plans)
     for s in range(max(0, count - 1)):
         rng = random.Random(f"{seed}:{s}")
         budget = 10 if s % 3 == 2 else 2
-        yield _random_fine_partition(gauge, E, rng, budget)
+        yield _fine_partition(gauge, plans, rng, budget)
 
 
 # ---------------------------------------------------------------------------

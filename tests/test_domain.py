@@ -280,8 +280,8 @@ def test_flat_partition_public_views():
 @example(anchors=[0.25, 0.5], slot=1, ends=[0.25, 0.75], touch="hi",
          cap=0.25, points=[0.5])            # an end on an anchor
 def test_gap_radius_matches_reference(anchors, slot, ends, touch, cap, points):
-    # the radius of a gap that holds no anchor is a closure without a
-    # search; where an anchor touches the gap, gauge.gamma serves
+    # the radius of a gap that holds no anchor is a Tent, which calls
+    # without a search; where an anchor touches the gap, gauge.gamma serves
     radius = AnchoredRadius(tuple(anchors), (1e-3,) * len(anchors),
                             ANCHORED_KAPPA, cap)
     gauge = Gauge(radius, tuple(anchors), 1e-4)

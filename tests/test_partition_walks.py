@@ -1,5 +1,7 @@
 """The partition builders' walks: the canonical bisection against the
-recursive walk it replaced, kept here as the reference; the node budget
+recursive walk it replaced, and the random walk against its form before
+the gap radius became data and the carve a plan, both kept here as
+references; the node budget
 that stops a gauge too small to sample; slivers too narrow to cut, which
 become one cell or raise; and gauges and sets at float resolution, which
 tile or raise."""
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rieszgauge import domain
-from rieszgauge.domain import (ANCHORED_KAPPA, BorelSet, ConstantRadius,
-                               Gauge, Interval, _carve_mandatory,
+from rieszgauge.domain import (ANCHORED_KAPPA, AnchoredRadius, BorelSet,
+                               ConstantRadius, Gauge, Interval,
+                               _carve_mandatory,
                                _random_fine_partition,
                                cousin_partition, is_fine,
                                iter_fine_partitions, partition_borel)
@@ -69,12 +72,134 @@ def reference_cousin(gauge, lo, hi, max_depth):
     return out
 
 
+def reference_fill_random(radius, lo, hi, rng, split_budget, nodes, out):
+    draw = rng.random
+    gamma = radius if callable(radius) else None
+    known = radius if gamma is None else None
+    stack = [(lo, hi, 0, known, known)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        a, b, depth, ga, gb = pop()
+        width = b - a
+        if width <= _EPS:
+            out.append(reference_sliver(radius, a, b, 0.5 * (a + b)))
+            continue
+        tag = a + width * (0.25 + (0.75 - 0.25) * draw())
+        gt = radius if gamma is None else gamma(tag)
+        if tag - a < gt and b - tag < gt:
+            accepted = tag
+        else:
+            tag = a + 0.5 * width
+            accepted = None
+            gt = radius if gamma is None else gamma(tag)
+            if tag - a < gt and b - tag < gt:
+                accepted = tag
+            else:
+                if gb is None:
+                    gb = gamma(b)
+                if width < gb:
+                    accepted = b
+                else:
+                    if ga is None:
+                        ga = gamma(a)
+                    if width < ga:
+                        accepted = a
+        if accepted is not None:
+            if not (split_budget > 0 and depth < domain._SPLIT_DEPTH
+                    and draw() < 0.45):
+                out.append((a, b, accepted))
+                continue
+            split_budget -= 1
+            cut = a + width * (0.35 + (0.65 - 0.35) * draw())
+        else:
+            if ga is None:
+                ga = gamma(a)
+            if gb is None:
+                gb = gamma(b)
+            step = 0.9 * (ga if ga >= gb else gb) * (0.8 + (1.0 - 0.8) * draw())
+            if step < 0.2 * width:
+                step = 0.2 * width
+            if step > 0.7 * width:
+                step = 0.7 * width
+            cut = a + step if ga >= gb else b - step
+        nodes -= 2
+        if nodes < 0:
+            raise EnvelopeTooSmall(
+                f"a fine partition needs more than {domain.NODE_BUDGET} "
+                "pieces: the gauge is too small to sample")
+        push((cut, b, depth + 1, known, gb))
+        push((a, cut, depth + 1, ga, known))
+    return split_budget, nodes
+
+
+def reference_carve(gauge, lo, hi, shrink):
+    tags = sorted(p for p in gauge.mandatory_tags if lo <= p <= hi)
+    cells = []
+    for idx, p in enumerate(tags):
+        h = gauge.gamma(p) / 2.0
+        if idx > 0:
+            h = min(h, (p - tags[idx - 1]) / 4.0)
+        if idx + 1 < len(tags):
+            h = min(h, (tags[idx + 1] - p) / 4.0)
+        h *= shrink(p)
+        cells.append((max(lo, p - h), min(hi, p + h), p))
+    pieces = []
+    cursor = lo
+    for cell in cells:
+        if cell[0] > cursor:
+            pieces.append((cursor, cell[0]))
+        pieces.append(cell)
+        cursor = cell[1]
+    if hi > cursor:
+        pieces.append((cursor, hi))
+    return pieces
+
+
+def reference_random(gauge, E, rng, split_budget):
+    """A random partition, its carve made afresh: shrinks drawn first."""
+    out = []
+    nodes = domain.NODE_BUDGET
+    for comp in E.components:
+        lo, hi = comp.lo, comp.hi
+        if hi - lo <= 0.0:
+            out.append((lo, hi, lo))
+            continue
+        pieces = reference_carve(gauge, lo, hi,
+                                 lambda p: rng.uniform(0.5, 0.999))
+        if hi - lo <= _EPS:
+            tags = sorted(p for p in gauge.mandatory_tags if lo <= p <= hi)
+            tag = tags[0] if tags else 0.5 * (lo + hi)
+            out.append(reference_sliver(gauge.gamma, lo, hi, tag))
+            continue
+        for piece in pieces:
+            if len(piece) == 3:
+                out.append(piece)
+            else:
+                split_budget, nodes = reference_fill_random(
+                    gauge.on_gap(*piece), *piece, rng, split_budget, nodes,
+                    out)
+    return tuple(out)
+
+
+def reference_partitions(gauge, E, count, seed):
+    """What iter_fine_partitions yields, as tuples of triples."""
+    canonical = []
+    for comp in E.components:
+        canonical += reference_cousin(gauge, comp.lo, comp.hi, 48)
+    parts = [tuple(canonical)]
+    for s in range(max(0, count - 1)):
+        rng = random.Random(f"{seed}:{s}")
+        parts.append(reference_random(gauge, E, rng,
+                                      10 if s % 3 == 2 else 2))
+    return parts
+
+
 def outcome(build):
     """The triples ``build()`` returns, or the type and message it raises."""
     try:
         return build()
-    except DepthExceeded as exc:
-        return (DepthExceeded, str(exc))
+    except (DepthExceeded, EnvelopeTooSmall) as exc:
+        return (type(exc), str(exc))
 
 
 unit = st.floats(0.0, 1.0)
@@ -291,3 +416,63 @@ def test_builders_at_float_resolution_tile_or_raise(case, seed):
             assert is_fine(part, gauge) and tiles(part, E.to_pairs())
     except (EnvelopeTooSmall, DepthExceeded):
         pass
+
+
+# ---------------------------------------------------------------------------
+# the random walk against its reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def walk_gauges(draw):
+    """:func:`gauges`, and anchored radii whose anchors are not all
+    mandatory tags, so that some gaps hold an anchor and are walked by
+    calls of ``gauge.gamma``."""
+    if draw(st.booleans()):
+        return draw(gauges())
+    anchors = sorted(set(draw(st.lists(unit, min_size=1, max_size=4))))
+    radius = AnchoredRadius(tuple(anchors), (draw(st.floats(1e-6, 0.1)),)
+                            * len(anchors), ANCHORED_KAPPA,
+                            draw(st.sampled_from([0.25, 0.01])))
+    tags = [a for a in anchors if draw(st.booleans())]
+    return Gauge(radius, tuple(tags), 1e-3)
+
+
+@st.composite
+def walk_sets(draw):
+    """One to three components, some of them at float resolution."""
+    pairs = draw(st.lists(st.one_of(st.tuples(unit, unit).map(sorted),
+                                    tiny_components()),
+                          min_size=1, max_size=3))
+    return BorelSet.from_pairs(pairs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(walk_gauges(), walk_sets(), st.integers(1, 32),
+       st.sampled_from([2, 10]), st.integers(0, 2 ** 32))
+def test_random_walk_matches_reference(gauge, E, count, budget, seed):
+    got = outcome(lambda: [part.triples for part in
+                           iter_fine_partitions(gauge, E, count, seed)])
+    want = outcome(lambda: reference_partitions(gauge, E, count, seed))
+    assert got == want
+    got = outcome(lambda: _random_fine_partition(
+        gauge, E, random.Random(seed), budget).triples)
+    want = outcome(lambda: reference_random(gauge, E, random.Random(seed),
+                                            budget))
+    assert got == want
+
+
+def test_sampling_carves_once_per_call():
+    # the mandatory tags' cells are planned once for all the partitions of
+    # one call; every gap between them is a tent, which takes no call
+    def calls(count):
+        gauge = Gauge.anchored([0.25, 0.5, 0.75], 1e-4)
+        gamma, n = gauge.gamma, [0]
+
+        def counted(t):
+            n[0] += 1
+            return gamma(t)
+        object.__setattr__(gauge, "gamma", counted)
+        for _ in iter_fine_partitions(gauge, BorelSet.whole(), count, "n"):
+            pass
+        return n[0]
+    assert calls(32) == calls(2)
