@@ -12,6 +12,7 @@ failed suite/comparison or undecided membership, 3 unbounded multifunction.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -55,7 +56,9 @@ def _add_common(parser, suppress: bool):
                         help="compact single-line JSON output")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="rieszgauge",
                      description="gauge integration over concrete value "
                                  "lattices, with set-valued and selection "

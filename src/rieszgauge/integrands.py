@@ -63,6 +63,36 @@ SCALAR_FORMS: dict[str, ScalarForm] = {
 }
 
 
+def step_function(ends, at_end: dict, in_gap: list):
+    """A point mapped to ``at_end[t]`` at one of the sorted ``ends``, and
+    otherwise to the entry of ``in_gap`` for the gap of ``ends`` that holds
+    it: below the first end, between two consecutive ends, or above the
+    last.  A point costs one dict probe and at most one bisection."""
+    bisect_right = _bisect.bisect_right
+    in_a_gap = object()
+
+    def at(t):
+        v = at_end.get(t, in_a_gap)
+        if v is in_a_gap:
+            v = in_gap[bisect_right(ends, t)]
+        return v
+    return at
+
+
+def tabulate(fn, ends):
+    """``fn`` as a :func:`step_function`, for an ``fn`` that is constant
+    between consecutive points of the sorted ``ends``: evaluated once at
+    each end and once inside each gap, the outer gaps one unit beyond the
+    outer ends, so that every point gets the floats ``fn`` gives there."""
+    ends = list(ends)
+    if not ends:
+        return step_function(ends, {}, [fn(0.0)])
+    samples = [ends[0] - 1.0]
+    samples += [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
+    samples.append(ends[-1] + 1.0)
+    return step_function(ends, {t: fn(t) for t in ends}, list(map(fn, samples)))
+
+
 class PieceLookup:
     """Point lookup over disjoint pieces of the unit interval.
 
@@ -111,15 +141,9 @@ class PieceLookup:
         it, and to ``off_pieces`` off every piece; ``convert`` runs once per
         piece."""
         table = [convert(p) for p in self._payloads] + [off_pieces]
-        at_end, ends, in_gap = self._at_end, self._ends, self._in_gap
-        bisect_right = _bisect.bisect_right
-
-        def at(t):
-            idx = at_end.get(t)
-            if idx is None:
-                idx = in_gap[bisect_right(ends, t)]
-            return table[idx]
-        return at
+        return step_function(self._ends,
+                             {t: table[i] for t, i in self._at_end.items()},
+                             [table[i] for i in self._in_gap])
 
 
 def disjoint_lookup(pieces, error: type[Exception], what: str) -> PieceLookup:
@@ -149,10 +173,12 @@ class Integrand:
 
     def compile(self, like: RieszValue, keys: tuple) -> CoordinateMap:
         """The value at a tag as floats over ``keys`` in the lattice of
-        ``like``, compiled once per Riemann sum.  Every bounded family
-        overrides it, and a subclass that changes a family's ``value_at``
-        must change this too; this default reads :meth:`value_at` and serves
-        only :class:`CounterexampleC00`, whose values have no fixed keys."""
+        ``like``.  A Riemann sum asks for it at least once, and a selection
+        of two step functions builds it once for all its sums (see
+        :meth:`SelectionIntegrand.compile`).  Every bounded family overrides
+        it, and a subclass that changes a family's ``value_at`` must change
+        this too; this default reads :meth:`value_at` and serves only
+        :class:`CounterexampleC00`, whose values have no fixed keys."""
         value_at = self.value_at
         return lambda t: coordinates(value_at(t), like, keys)
 
@@ -340,6 +366,10 @@ class PointwiseScalar(Integrand):
         return f"{self.form.name}*{self.coeff}"
 
 
+#: The families whose values change only at their boundary points.
+_STEP_FAMILIES = (ConstantIntegrand, SimpleIntegrand)
+
+
 @dataclass(frozen=True)
 class SelectionIntegrand(Integrand):
     """Convex mix ``(1 - lam(t)) * lower(t) + lam(t) * upper(t)`` for a simple
@@ -367,7 +397,21 @@ class SelectionIntegrand(Integrand):
 
     def compile(self, like, keys):
         """``x * (1.0 - lam) + y * lam`` over the ends' floats: the float
-        expression that :meth:`value_at`'s scales and add evaluate."""
+        expression that :meth:`value_at`'s scales and add evaluate.  With
+        two step-function ends the mix is constant between its boundary
+        points, so it is tabulated there (see :func:`tabulate`), once per
+        selection and lattice."""
+        if not (isinstance(self.lower, _STEP_FAMILIES)
+                and isinstance(self.upper, _STEP_FAMILIES)):
+            return self._mixed(like, keys)
+        tables = vars(self).setdefault("_tables", {})
+        key = (like, keys)
+        if key not in tables:
+            tables[key] = tabulate(self._mixed(like, keys),
+                                   self.boundary_points())
+        return tables[key]
+
+    def _mixed(self, like, keys) -> CoordinateMap:
         lower = self.lower.compile(like, keys)
         upper = self.upper.compile(like, keys)
         mix_at = self._mix_at

@@ -56,9 +56,11 @@ def _coordinate_sum(family, like, keys, part: TaggedPartition, weights,
     per-key ``weights`` repeated over the runs of ``start``, added in cell
     order as a lattice value would be; cells of length zero are dropped
     before their tag is evaluated.  One coordinate, as in every scalar
-    Riemann sum, is added in one loop through :meth:`compile`; more are
-    folded one column at a time, per block of cells, through
-    :meth:`columns`, which adds the same floats in the same order."""
+    Riemann sum, is added in one loop through the map that :meth:`compile`
+    returns; more are folded one column at a time, per block of cells,
+    through :meth:`columns`, which adds the same floats in the same order.
+    A selection of two step functions builds that map once for all its sums,
+    so a sum only reads it."""
     triples = part.triples
     if len(start) == 1:
         at = family.compile(like, keys)
@@ -123,27 +125,48 @@ def weighted_sums(family, zero: RieszValue, part: TaggedPartition,
 # gauges and certificates
 # ---------------------------------------------------------------------------
 
-def certification_gauge(f: Integrand, E: BorelSet, spec: MeasureSpec,
-                        env: RieszValue) -> Gauge:
-    """A gauge under which every fine partition keeps the Riemann sum within
-    ``env`` of the integral.
+def certification_gauges(f: Integrand, E: BorelSet, spec: MeasureSpec,
+                         envs) -> tuple[list[Gauge], Gauge]:
+    """For every envelope in ``envs``, and then for their meet, a gauge under
+    which every fine partition keeps the Riemann sum within that envelope of
+    the integral.
 
-    For a Lipschitz integrand the radius is the envelope's relevant coordinate
-    minimum over (modulus * length * measure scale); jump points get pinned as
-    mandatory tags with a radius sized against the envelope as well.
+    For a Lipschitz integrand the radius is the envelope's minimum over the
+    active coordinates over (modulus * length * measure scale); jump points
+    get pinned as mandatory tags with a radius sized against that minimum
+    as well.  The integrand is read once, envelopes with the same minimum
+    share one gauge, and the first envelope that cannot certify, in order,
+    raises.
     """
     supb = f.sup_bound()
     active = mul(abs(supb), abs(spec.m0))
     if active.is_zero():
-        return Gauge.constant(2.0)
+        free = Gauge.constant(2.0)
+        return [free] * len(envs), free
     lam = f.lipschitz()
     if lam is None:
         raise GaugeConstructionFailed(
             "the integrand declares no modulus of integrability")
-    env_min = min((env.coord(k) for k, _ in active.nonzero_coords()),
-                  default=float("inf"))
+    keys = [k for k, _ in active.nonzero_coords()]
     length = E.length()
     scale_m = spec.m0.sup_norm()
+    boundaries = tuple(p for p in f.boundary_points()
+                       if E.contains_point(p))
+    built: dict[float, Gauge] = {}
+
+    def gauge(env: RieszValue) -> Gauge:
+        env_min = min(env.coord(k) for k in keys)
+        if env_min not in built:
+            built[env_min] = _certification_gauge(env_min, lam, length,
+                                                  scale_m, boundaries, supb)
+        return built[env_min]
+    gauges = [gauge(env) for env in envs]
+    return gauges, gauge(reduce(lambda a, b: a.meet(b), envs))
+
+
+def _certification_gauge(env_min: float, lam: float, length: float,
+                         scale_m: float, boundaries, supb) -> Gauge:
+    """The gauge of :func:`certification_gauges` for one envelope minimum."""
     interior = 2.0
     if lam > 0.0 and length > 0.0:
         if env_min <= 0.0:
@@ -151,8 +174,6 @@ def certification_gauge(f: Integrand, E: BorelSet, spec: MeasureSpec,
                 "an envelope that is zero or below float resolution cannot "
                 "certify a varying integrand")
         interior = env_min / (lam * length * scale_m)
-    boundaries = tuple(p for p in f.boundary_points()
-                       if E.contains_point(p))
     if boundaries:
         if env_min <= 0.0:
             raise GaugeConstructionFailed(
@@ -197,10 +218,12 @@ def kh_integrate(f: Integrand, E, spec: MeasureSpec, reg: Regulator, probes,
                  *, seed="kh") -> IntegralCertificate:
     """Integrate ``f`` over ``E`` and certify the value against ``reg``.
 
-    For every probe a gauge is constructed from the integrand's declared
-    modulus; the sampled fine partitions (canonical plus seeded random fine
-    refinements of the tightest gauge, which are fine for every reported
-    gauge) must all keep their Riemann sums within the probe envelope.
+    Every probe's gauge and the tightest one, for the meet of the probe
+    envelopes, come from one read of the integrand's declared modulus, bound
+    and jump points (see :func:`certification_gauges`).  The sampled fine
+    partitions (canonical plus seeded random fine refinements of the
+    tightest gauge, which are fine for every reported gauge) must all keep
+    their Riemann sums within every probe envelope.
     """
     f.check_integrable()
     probes = tuple(probes)
@@ -208,11 +231,8 @@ def kh_integrate(f: Integrand, E, spec: MeasureSpec, reg: Regulator, probes,
         raise EmptyProbeSet("no probes given")
     E = as_borel(E)
     value = f.integral(E, spec)
-    envs = [envelope(reg, p) for p in probes]
-    gauges = {p: certification_gauge(f, E, spec, env)
-              for p, env in zip(probes, envs)}
-    tightest = certification_gauge(f, E, spec,
-                                   reduce(lambda a, b: a.meet(b), envs))
+    gauges, tightest = certification_gauges(
+        f, E, spec, [envelope(reg, p) for p in probes])
     worst = zero_like(value)
     count = 0
     if not E.is_empty():
@@ -220,7 +240,8 @@ def kh_integrate(f: Integrand, E, spec: MeasureSpec, reg: Regulator, probes,
             dev = abs(riemann_sum(f, part, spec) - value)
             worst = worst.join(dev)
             count += 1
-    reports = tuple(ProbeReport(p, gauges[p], worst, count) for p in probes)
+    reports = tuple(ProbeReport(p, g, worst, count)
+                    for p, g in zip(probes, gauges))
     return IntegralCertificate(value, reg, reports)
 
 

@@ -17,7 +17,8 @@ from .config import RunConfig
 from .domain import (BorelSet, Gauge, Interval, MeasureSpec, TaggedPartition,
                      cousin_partition, is_fine, measure, partition_borel,
                      regularity_witness, sigma_additivity_check)
-from .errors import (EmptySelectionFamily, NotCertifiable, NotDisjoint)
+from .errors import (EmptySelectionFamily, NotCertifiable, NotDisjoint,
+                     RieszGaugeError)
 from .integrands import (CounterexampleC00, PointwiseScalar, SCALAR_FORMS,
                          SimpleIntegrand)
 from .integrate import (counterexample_unboundedness, integral_additivity_check,
@@ -60,8 +61,16 @@ class SuiteResult:
 
     def run(self, name, rng, trials, trial):
         """Add the property that ``trial(rng, t)`` checks for ``t`` in
-        ``range(trials)``; each trial returns ``(held, slack)``."""
-        self.add(name, trials, *_fold(trial(rng, t) for t in range(trials)))
+        ``range(trials)``; each trial returns ``(held, slack)``.  A trial
+        that raises a library error fails the property, whose detail names
+        the error, and the suite goes on."""
+        try:
+            folded = _fold(trial(rng, t) for t in range(trials))
+        except RieszGaugeError as exc:
+            self.add(name, trials, False,
+                     detail=f"{type(exc).__name__}: {exc}")
+        else:
+            self.add(name, trials, *folded)
 
 
 def _fold(checks) -> tuple[bool, float]:
@@ -529,14 +538,13 @@ def suite_setvalued(config: RunConfig) -> SuiteResult:
     fams = [ConstantSet(rand_interval(rng, config)),
             rand_simple_set(rng, config, max_pieces=3),
             ramp_band, symmetric_ramp]
-    out.add("phi_convexity", len(fams), all([
-        phi_convexity_check(F, whole, spec, reg, probes, trials=2,
-                            seed=f"{config.seed}:cv:{i}")
-        for i, F in enumerate(fams)]))
-    out.add("phi_closedness", len(fams), all([
-        phi_closedness_check(F, whole, spec, reg, probes,
-                             seed=f"{config.seed}:cl:{i}")
-        for i, F in enumerate(fams)]))
+    # these trials draw no random data, so they are handed no rng
+    out.run("phi_convexity", None, len(fams), lambda _, i: (
+        phi_convexity_check(fams[i], whole, spec, reg, probes, trials=2,
+                            seed=f"{config.seed}:cv:{i}"), 0.0))
+    out.run("phi_closedness", None, len(fams), lambda _, i: (
+        phi_closedness_check(fams[i], whole, spec, reg, probes,
+                             seed=f"{config.seed}:cl:{i}"), 0.0))
 
     def monotone(rng, t):
         if rng.random() < 0.5:
@@ -555,18 +563,19 @@ def suite_setvalued(config: RunConfig) -> SuiteResult:
          max_coordinate(abs(z) - mul(F.bound(), spec.total())) - ORDER_SLACK)
         for z, F in accepted))
 
-    checks = []
-    for t, name in enumerate(("t", "one_minus_t", "square")):
-        f = PointwiseScalar(SCALAR_FORMS[name], config.unit())
+    def single_valued(_, t):
+        f = PointwiseScalar(SCALAR_FORMS[("t", "one_minus_t", "square")[t]],
+                            config.unit())
         F = singleton_multifunction(f)
         value = kh_integrate(f, whole, spec, reg, probes,
                              seed=f"{config.seed}:sv:{t}").value
-        checks.append(phi_membership(value, F, whole, spec, reg, probes,
-                                     seed=f"{config.seed}:svm:{t}"))
+        inside = phi_membership(value, F, whole, spec, reg, probes,
+                                seed=f"{config.seed}:svm:{t}")
         far = max_envelope(reg, probes).scale(3.0) + unit.scale(1e-6)
-        checks.append(not phi_membership(value + far, F, whole, spec, reg,
-                                         probes, seed=f"{config.seed}:svf:{t}"))
-    out.add("single_valued_reduction", 3, all(checks))
+        outside = not phi_membership(value + far, F, whole, spec, reg,
+                                     probes, seed=f"{config.seed}:svf:{t}")
+        return inside and outside, 0.0
+    out.run("single_valued_reduction", None, 3, single_valued)
 
     return out
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from rieszgauge import cli
+from rieszgauge import cli, report
 from rieszgauge.config import SpecError, load_config, parse_value
 from rieszgauge.values import Vector
 
@@ -484,3 +484,50 @@ def test_non_finite_regulator_base_exits_1(tmp_path, capsys, base):
     assert (code, out) == (1, "")
     assert err == [f"error: bad regulator spec 'geometric:{base}:0.5:0.5': "
                    f"geometric base must be finite"]
+
+
+def test_a_suite_trial_that_raises_fails_its_property(tmp_path, capsys):
+    # with a zero regulator every envelope is 0: membership at an edge is
+    # undecided and no gauge certifies a varying integrand; the suite still
+    # reports every property
+    ini = tmp_path / "zero.ini"
+    ini.write_text("[regulator]\nregulator = zero\n")
+    code, out, err = run_main(capsys, "--config", str(ini), "suite",
+                              "setvalued")
+    assert (code, err) == (2, [])
+    properties = validated(out)["suites"][0]["properties"]
+    assert len(properties) == 8
+    failed = {p["name"]: p["detail"] for p in properties if not p["passed"]}
+    assert sorted(failed) == ["constant_oracle_and_membership",
+                              "phi_closedness", "phi_convexity",
+                              "single_valued_reduction"]
+    assert failed["constant_oracle_and_membership"].startswith(
+        "MembershipUndecided: undecided membership: ")
+    assert failed["phi_convexity"] == (
+        "GaugeConstructionFailed: an envelope that is zero or below float "
+        "resolution cannot certify a varying integrand")
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; no call leaves anything in it
+    # for the next: a usage error, a --json report, the same report pretty,
+    # then a report under a config file
+    golden = REPO / "tests" / "golden" / "cli"
+    manifest = json.loads((golden / "cases.json").read_text())
+    code, out, err = run_main(capsys, "integrate")
+    assert (code, out) == (1, "")
+    assert err[-1] == ("rieszgauge integrate: error: the following arguments "
+                       "are required: --f")
+    union = ["integrate", "--f", "simple:0,0.5,2;0.5,1,1",
+             "--on", "[0,0.25]+[0.5,1]"]
+    name = "default-integrate-simple-union-json"
+    compact = (golden / f"{name}.stdout").read_text()
+    assert run_main(capsys, *union, "--json")[:2] == (
+        manifest[name]["exit"], compact)
+    assert run_main(capsys, *union)[:2] == (
+        0, report.dumps(json.loads(compact)))
+    name = "vector2-integrate-t"
+    assert run_main(capsys, "--config", str(golden / "vector2.ini"),
+                    "integrate", "--f", "t", "--on", "[0,1]")[:2] == (
+        manifest[name]["exit"], (golden / f"{name}.stdout").read_text())
+    assert cli._build_parser() is cli._build_parser()

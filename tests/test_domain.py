@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from conftest import examples
 
 from rieszgauge.domain import (ANCHORED_KAPPA, AnchoredRadius, BorelSet,
                                ConstantRadius, Gauge, Interval, MeasureSpec,
@@ -28,7 +29,7 @@ grid_sets = st.lists(
         [[lo / 64.0, hi / 64.0] for lo, hi in pairs]))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(grid_sets)
 def test_borel_normal_form(a):
     comps = a.components
@@ -37,14 +38,14 @@ def test_borel_normal_form(a):
     assert BorelSet(a.components) == a
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(grid_sets, grid_sets)
 def test_borel_union_and_intersection_commute(a, b):
     assert a.union(b) == b.union(a)
     assert a.intersection(b) == b.intersection(a)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(grid_sets, grid_sets)
 def test_borel_length_splits_exactly(a, b):
     # dyadic endpoints keep every length and sum exact
@@ -265,7 +266,7 @@ def test_flat_partition_public_views():
     assert len(part) == 2 and part.total_length() == 1.0
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(anchors=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10,
                         unique=True).map(sorted),
        slot=st.integers(0, 10),

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -9,7 +10,8 @@ from rieszgauge.errors import (GaugeConstructionFailed, NotCertifiable,
 from rieszgauge.integrands import (ConstantIntegrand, CounterexampleC00,
                                    PointwiseScalar, SCALAR_FORMS,
                                    SelectionIntegrand, SimpleIntegrand)
-from rieszgauge.integrate import (counterexample_partition,
+from rieszgauge.integrate import (certification_gauges,
+                                  counterexample_partition,
                                   counterexample_unboundedness,
                                   integral_additivity_check, kh_integrate,
                                   riemann_sum)
@@ -25,6 +27,11 @@ WHOLE = BorelSet.whole()
 LINEAR = PointwiseScalar(SCALAR_FORMS["t"], Scalar(1.0))
 SIMPLE = SimpleIntegrand(((BorelSet.from_pairs([[0.0, 0.5]]), Scalar(2.0)),
                           (BorelSet.from_pairs([[0.5, 1.0]]), Scalar(1.0))))
+
+#: A mix of a linear lower end and the two-step upper end: jump points and
+#: a modulus, so its gauges halve the interior radius.
+SELECTION = SelectionIntegrand(LINEAR, SIMPLE,
+                               ((BorelSet.from_pairs([[0.25, 0.75]]), 0.5),))
 
 
 def antiderivative_t(a, b):
@@ -94,6 +101,18 @@ def test_kh_constant_zero_with_zero_regulator():
 def test_kh_simple_zero_regulator_cannot_cross_jumps():
     with pytest.raises(GaugeConstructionFailed):
         kh_integrate(SIMPLE, WHOLE, SPEC, zero_regulator(Scalar(1.0)), PROBES)
+
+
+@pytest.mark.parametrize("f", [LINEAR, SIMPLE, SELECTION],
+                         ids=["linear", "simple", "selection"])
+def test_probes_with_one_envelope_minimum_share_one_gauge(f):
+    envs = [envelope(REG, p) for p in PROBES]
+    gauges, tightest = certification_gauges(f, WHOLE, SPEC, envs)
+    assert len({id(g) for g in [*gauges, tightest]}) == 8
+    meet = reduce(lambda a, b: a.meet(b), envs)
+    for env, gauge in zip([*envs, meet], [*gauges, tightest]):
+        # the gauge that envelope gets alone
+        assert certification_gauges(f, WHOLE, SPEC, [env]) == ([gauge], gauge)
 
 
 def test_kh_refuses_the_counterexample():

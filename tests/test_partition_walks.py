@@ -10,6 +10,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from conftest import examples
 
 from rieszgauge import domain
 from rieszgauge.domain import (ANCHORED_KAPPA, AnchoredRadius, BorelSet,
@@ -223,7 +224,7 @@ def gauges(draw):
                           cap=draw(st.sampled_from([0.25, 0.01])))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(gauges(), st.tuples(unit, unit).map(sorted))
 def test_canonical_walk_matches_recursive_reference(gauge, ends):
     # the walk has no depth cap: at depth 40 every piece of [0, 1] is a
@@ -401,7 +402,7 @@ def tiny_cases(draw):
                           cap=draw(tiny)), E
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=examples(200), deadline=None)
 @given(tiny_cases(), st.integers(0, 2 ** 32))
 @example(case=(Gauge.anchored([1.0], 8.897777777777776e-12,
                               cap=2.26017616017315e-12),
@@ -446,7 +447,7 @@ def walk_sets(draw):
     return BorelSet.from_pairs(pairs)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=examples(300), deadline=None)
 @given(walk_gauges(), walk_sets(), st.integers(1, 32),
        st.sampled_from([2, 10]), st.integers(0, 2 ** 32))
 def test_random_walk_matches_reference(gauge, E, count, budget, seed):

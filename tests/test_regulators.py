@@ -2,6 +2,7 @@ from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import examples
 
 from rieszgauge.errors import EmptyFamily, EmptyProbeSet
 from rieszgauge.regulators import (AffineMap, ConstantMap, ExponentialMap,
@@ -125,7 +126,7 @@ BASES = st.sampled_from([Scalar(1.0), Scalar(3.5), Vector([1.0, 2.0]),
                          SparseSeq({1: 1.0, 4: 0.25})])
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(BASES, SCALES, SCALES.filter(lambda c: c < 1.0), index_maps())
 def test_geometric_envelope_is_its_first_row(base, row, col, phi):
     reg = Geometric(base, row, col)

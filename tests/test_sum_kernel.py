@@ -8,6 +8,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import examples
 
 from rieszgauge import integrands
 from rieszgauge.aumann import aumann_integral, default_mixes
@@ -17,7 +18,7 @@ from rieszgauge.integrands import (SCALAR_FORMS, ConstantIntegrand,
                                    CounterexampleC00, Integrand, PieceLookup,
                                    PointwiseScalar, ScalarForm,
                                    SelectionIntegrand, SimpleIntegrand)
-from rieszgauge.integrate import riemann_sum
+from rieszgauge.integrate import kh_integrate, riemann_sum
 from rieszgauge.regulators import Geometric, standard_probes
 from rieszgauge.setvalued import (ConstantSet, IntervalValued, OrderInterval,
                                   SimpleSet, riemann_set_sum,
@@ -218,7 +219,7 @@ class Draws:
 lattice_names = st.sampled_from(sorted(LATTICES))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(st.data(), lattice_names)
 def test_riemann_sum_matches_cell_by_cell_reference(data, name):
     d = Draws(data.draw, name)
@@ -231,7 +232,7 @@ def test_riemann_sum_matches_cell_by_cell_reference(data, name):
                         reference_riemann_sum(f, part, d.spec))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(st.data(), lattice_names)
 def test_riemann_set_sum_matches_cell_by_cell_reference(data, name):
     d = Draws(data.draw, name)
@@ -298,7 +299,7 @@ def test_every_family_through_the_kernel(name):
                         reference_riemann_set_sum(F, part, spec))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(st.lists(st.lists(st.integers(0, 16), min_size=1, max_size=6),
                 min_size=1, max_size=5),
        st.lists(st.floats(-0.25, 1.25), max_size=8))
@@ -431,9 +432,12 @@ class SelectionDraws(Draws):
         return self.pieces(lambda: self.draw(lam))
 
     def tags(self, f):
+        """Every end, the floats just below and just above it, and a few
+        drawn points: a step table must change exactly at the ends."""
         ends = list(f.boundary_points())
         drawn = self.draw(st.lists(st.floats(0.0, 1.0), max_size=8))
-        return ends + [math.nextafter(t, 2.0) for t in ends] + drawn
+        return (ends + [math.nextafter(t, -1.0) for t in ends]
+                + [math.nextafter(t, 2.0) for t in ends] + drawn)
 
     def endpoint_partition(self, f):
         """Cells between consecutive piece endpoints, each tagged at one of
@@ -448,7 +452,7 @@ selection_lattices = st.sampled_from(["scalar", "vector:2", "c00",
                                       "c00 under a scalar generator"])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.data(), selection_lattices)
 def test_selection_compile_matches_value_at(data, name):
     d = SelectionDraws(data.draw, name)
@@ -483,6 +487,33 @@ def test_aumann_integral_evaluates_no_selection_tag_by_tag(monkeypatch):
                           default_mixes(F))
     assert len(res.points) == len(default_mixes(F))
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["scalar", "vector:2", "c00"])
+def test_a_step_selection_compiles_its_ends_once_per_certificate(
+        monkeypatch, name):
+    """The 32 sums of one certificate share the selection's step table, so
+    each end is compiled once, not once per sum."""
+    calls = []
+    compile_ = SimpleIntegrand.compile
+
+    def counted(self, like, keys):
+        calls.append(self)
+        return compile_(self, like, keys)
+    monkeypatch.setattr(SimpleIntegrand, "compile", counted)
+    m0, width, make = LATTICES[name]
+
+    def end(left, right):
+        return SimpleIntegrand(
+            ((BorelSet.from_pairs([[0.0, 0.5]]), make([left] * width)),
+             (BorelSet.from_pairs([[0.5, 1.0]]), make([right] * width))))
+    f = SelectionIntegrand(end(0.0, 2.0), end(1.0, 3.0), GRID_MIX)
+    cert = kh_integrate(f, BorelSet.whole(), MeasureSpec(m0),
+                        Geometric(make([1.0] * width), 0.5, 0.5),
+                        standard_probes())
+    assert cert.probe_reports[0].samples == 32
+    assert [sum(c is e for c in calls) for e in (f.lower, f.upper)] == [1, 1]
+    assert len(calls) == 2
 
 
 def test_every_bounded_family_compiles():

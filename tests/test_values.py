@@ -4,6 +4,7 @@ from pathlib import Path
 import lattice_reference as ref
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import examples
 
 from rieszgauge import values as new
 from rieszgauge.errors import DimensionMismatch, MixedVariant
@@ -172,7 +173,7 @@ def bounded(v) -> bool:
     return all(abs(x) <= 1e150 for _, x in v.nonzero_coords())
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(max_examples=examples(400), deadline=None)
 @given(st.sampled_from(["scalar", "vector:1", "vector:2", "vector:3",
                         "sequence"]).flatmap(
            lambda space: st.lists(raw_values(space), min_size=2, max_size=5)),
