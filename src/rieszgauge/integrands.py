@@ -183,8 +183,8 @@ class Integrand:
         return lambda t: coordinates(value_at(t), like, keys)
 
     def columns(self, like: RieszValue, keys: tuple, tags) -> list:
-        """The values at the nonempty list ``tags`` as one float column per
-        key: :meth:`compile` at each tag, transposed."""
+        """The values at the list ``tags`` as one float column per key:
+        :meth:`compile` at each tag, transposed, so none for no tag."""
         return list(zip(*map(self.compile(like, keys), tags)))
 
     def zero_value(self) -> RieszValue:

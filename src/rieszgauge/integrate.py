@@ -12,7 +12,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import cycle
 
 from .domain import (SAMPLES, BorelSet, Gauge, Interval, MeasureSpec,
                      TaggedPartition, cousin_partition, is_fine,
@@ -39,31 +38,49 @@ def as_borel(E) -> BorelSet:
 
 def riemann_sum(f: Integrand, part: TaggedPartition, spec: MeasureSpec) -> RieszValue:
     """The tagged sum ``sum_i f(tag_i) * mu(cell_i)``, taken in coordinates
-    in cell order (see :func:`weighted_sums`)."""
-    total, = weighted_sums(f, f.zero_value(), part, spec, 1,
-                           lambda t: (f.value_at(t),))
-    return total
+    in cell order (see :func:`_coordinate_sum`).
+
+    Scalars keep the formula ``(sum value * length) * m0``; other lattices
+    add ``value * (m0 * length)`` per coordinate, starting from
+    ``zero * m0``.  A sequence under a scalar generator has no fixed keys:
+    they are the supports that ``f`` reaches at the tags of nonempty cells.
+    """
+    m0 = spec.m0
+    zero = f.zero_value()
+    if m0.broadcasts and zero.broadcasts:
+        total, = _coordinate_sum(f, zero, (0,), part, (1.0,), (0.0,))
+        return Scalar(total * m0.value)
+    like = mul(zero, m0)
+    # the generator's keys, or the lattice's own under a scalar generator;
+    # the zero sequence has none, so a sequence then learns them
+    keys = like.keys if m0.broadcasts else m0.keys
+    if not keys:
+        keys = tuple(sorted({k for lo, hi, tag in part.triples
+                             if hi - lo != 0.0
+                             for k, _ in f.value_at(tag).nonzero_coords()}))
+    return from_coordinates(like, keys, _coordinate_sum(
+        f, like, keys, part, coordinates(m0, like, keys),
+        coordinates(like, like, keys)))
 
 
 #: Cells per column block of a sum, which bounds the columns held at once.
 _BLOCK = 1024
 
 
-def _coordinate_sum(family, like, keys, part: TaggedPartition, weights,
+def _coordinate_sum(f: Integrand, like, keys, part: TaggedPartition, weights,
                     start) -> list[float]:
-    """``start[k] + sum_i v(tag_i)[k] * (w[k] * length_i)`` for every
-    coordinate ``k`` of ``family``'s values over ``keys``, with ``w`` the
-    per-key ``weights`` repeated over the runs of ``start``, added in cell
-    order as a lattice value would be; cells of length zero are dropped
-    before their tag is evaluated.  One coordinate, as in every scalar
-    Riemann sum, is added in one loop through the map that :meth:`compile`
-    returns; more are folded one column at a time, per block of cells,
-    through :meth:`columns`, which adds the same floats in the same order.
-    A selection of two step functions builds that map once for all its sums,
+    """``start[k] + sum_i v(tag_i)[k] * (weights[k] * length_i)`` for every
+    coordinate ``k`` of ``f``'s values over ``keys``, added in cell order as
+    a lattice value would be; cells of length zero are dropped before their
+    tag is evaluated.  One coordinate, as in every scalar Riemann sum, is
+    added in one loop through the map that :meth:`compile` returns; more
+    are folded one column at a time, per block of cells, through
+    :meth:`columns`, which adds the same floats in the same order.  A
+    selection of two step functions builds that map once for all its sums,
     so a sum only reads it."""
     triples = part.triples
     if len(start) == 1:
-        at = family.compile(like, keys)
+        at = f.compile(like, keys)
         (acc,), (w,) = start, weights
         for lo, hi, tag in triples:
             ln = hi - lo
@@ -76,49 +93,14 @@ def _coordinate_sum(family, like, keys, part: TaggedPartition, weights,
         lengths = [hi - lo for lo, hi, _ in block if hi != lo]
         if not lengths:
             continue
-        columns = family.columns(like, keys, [tag for lo, hi, tag in block
-                                              if hi != lo])
+        columns = f.columns(like, keys, [tag for lo, hi, tag in block
+                                         if hi != lo])
         # once per key and block; 1.0 * length is the length itself
         scaled = [lengths if w == 1.0 else [w * ln for ln in lengths]
                   for w in weights]
         acc = [reduce(operator.add, map(operator.mul, col, wl), s)
-               for col, wl, s in zip(columns, cycle(scaled), acc)]
+               for col, wl, s in zip(columns, scaled, acc)]
     return acc
-
-
-def weighted_sums(family, zero: RieszValue, part: TaggedPartition,
-                  spec: MeasureSpec, copies: int, values_at) -> list[RieszValue]:
-    """The Riemann sums of ``copies`` functions at once, for values in the
-    lattice of ``zero``.
-
-    ``family`` gives the floats of all ``copies`` values over ``keys``, one
-    run of keys after another, through ``compile(like, keys)`` per tag or
-    ``columns(like, keys, tags)`` per coordinate.  Scalars keep the formula
-    ``(sum value * length) * m0``; other lattices add
-    ``value * (m0 * length)`` per coordinate, starting from ``zero * m0``.
-    A sequence under a scalar generator has no fixed keys: they are the
-    supports that ``values_at(tag)`` reaches over the cells.
-    """
-    m0 = spec.m0
-    if m0.broadcasts and zero.broadcasts:
-        sums = _coordinate_sum(family, zero, (0,), part, (1.0,),
-                               (0.0,) * copies)
-        return [Scalar(s * m0.value) for s in sums]
-    like = mul(zero, m0)
-    # the generator's keys, or the lattice's own under a scalar generator;
-    # the zero sequence has none, so a sequence then learns them
-    keys = like.keys if m0.broadcasts else m0.keys
-    if not keys:
-        keys = tuple(sorted({k for lo, hi, tag in part.triples
-                             if hi - lo != 0.0
-                             for v in values_at(tag)
-                             for k, _ in v.nonzero_coords()}))
-    sums = _coordinate_sum(family, like, keys, part,
-                           coordinates(m0, like, keys),
-                           coordinates(like, like, keys) * copies)
-    n = len(keys)
-    return [from_coordinates(like, keys, sums[j * n:(j + 1) * n])
-            for j in range(copies)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,9 @@ from .errors import (EmptyFamily, EmptyProbeSet, MembershipUndecided,
                      UnboundedMultifunction, ZeroNotInValues)
 from .integrands import (_GRID, ConstantIntegrand, Integrand, SimpleIntegrand,
                          disjoint_lookup)
-from .integrate import as_borel, kh_integrate, weighted_sums
+from .integrate import as_borel, kh_integrate, riemann_sum
 from .regulators import Regulator, Scaled, SumPair, envelope, max_envelope
-from .values import (ORDER_SLACK, RieszValue, coordinates, leq, mul,
-                     ones_like, zero_like)
+from .values import ORDER_SLACK, RieszValue, leq, mul, ones_like, zero_like
 
 _ORDER_MESSAGE = "an order interval needs lo <= hi"
 
@@ -49,10 +48,6 @@ class OrderInterval:
 
     def contains_value(self, z: RieszValue, slack: float = 0.0) -> bool:
         return leq(self.lo, z, slack) and leq(z, self.hi, slack)
-
-    def coordinates(self, like: RieszValue, keys) -> tuple[float, ...]:
-        """The floats of ``lo`` over ``keys`` followed by those of ``hi``."""
-        return coordinates(self.lo, like, keys) + coordinates(self.hi, like, keys)
 
 
 def dot_sum(sets) -> OrderInterval:
@@ -96,29 +91,6 @@ class Multifunction:
 
     def value_at(self, t: float) -> OrderInterval:
         return OrderInterval(self.lower.value_at(t), self.upper.value_at(t))
-
-    def columns(self, like: RieszValue, keys: tuple, tags) -> list:
-        """The value intervals at the nonempty list ``tags`` as one float
-        column per key of the lower end followed by one per key of the upper
-        end, from the ends' own columns; a tag whose interval has
-        ``lo > hi`` raises ValueError as :class:`OrderInterval` does."""
-        # the order is checked on every coordinate either end can reach, so
-        # in a sequence space also where the measure vanishes
-        n = len(keys)
-        try:
-            bound = self.bound()
-        except UnboundedMultifunction:
-            value_at = self.value_at
-            return list(zip(*(value_at(t).coordinates(like, keys)
-                              for t in tags)))
-        keys = keys + tuple(k for k, _ in bound.nonzero_coords()
-                            if k not in keys)
-        lower = self.lower.columns(like, keys, tags)
-        upper = self.upper.columns(like, keys, tags)
-        for lo, hi in zip(lower, upper):
-            if not all(map(operator.le, lo, hi)):
-                raise ValueError(_ORDER_MESSAGE)
-        return lower[:n] + upper[:n]
 
     def boundary_points(self) -> tuple[float, ...]:
         """The jump points of either end, sorted."""
@@ -171,19 +143,12 @@ class SimpleSet(Multifunction):
     def __post_init__(self):
         if not self.pieces:
             raise ValueError("a simple multifunction needs at least one piece")
-        object.__setattr__(self, "_lookup", disjoint_lookup(
-            self.pieces, PiecesOverlap, "simple multifunction pieces"))
+        disjoint_lookup(self.pieces, PiecesOverlap,
+                        "simple multifunction pieces")
         object.__setattr__(self, "lower", SimpleIntegrand(
             tuple((s, C.lo) for s, C in self.pieces)))
         object.__setattr__(self, "upper", SimpleIntegrand(
             tuple((s, C.hi) for s, C in self.pieces)))
-
-    def columns(self, like, keys, tags):
-        # one lookup per tag, not one per end; every piece's interval was
-        # checked when it was built
-        zero = coordinates(self.zero_value(), like, keys)
-        at = self._lookup.compile(lambda C: C.coordinates(like, keys), zero * 2)
-        return list(zip(*map(at, tags)))
 
     def contains_zero(self):
         zero = self.zero_value()
@@ -230,15 +195,28 @@ def singleton_multifunction(f: Integrand) -> Multifunction:
 def riemann_set_sum(F: Multifunction, part: TaggedPartition,
                     spec: MeasureSpec) -> OrderInterval:
     """Dot-sum over cells of the value interval at the tag scaled by the cell
-    measure, taken in coordinates and in cell order (see
-    :func:`~rieszgauge.integrate.weighted_sums`).  For finite values it
-    equals the dot-sum of the per-cell intervals bit for bit, and a tag whose
-    value interval has ``lo > hi`` raises ValueError as that interval would.
-    """
-    ends = (F.lower, F.upper)
-    lo, hi = weighted_sums(F, F.zero_value(), part, spec, 2,
-                           lambda t: [f.value_at(t) for f in ends])
-    return OrderInterval(lo, hi)
+    measure.  Every value is an order interval and ``m0 >= 0``, so it is the
+    interval between the Riemann sums of the two ends (see
+    :func:`~rieszgauge.integrate.riemann_sum`), which for finite values
+    equals the dot-sum of the per-cell intervals bit for bit.  A tag of a
+    nonempty cell whose value interval has ``lo > hi`` raises ValueError as
+    that interval would."""
+    tags = [tag for lo, hi, tag in part.triples if hi != lo]
+    try:
+        # every coordinate either end can reach, so in a sequence space
+        # also where the measure vanishes
+        keys = tuple(k for k, _ in F.bound().nonzero_coords())
+    except UnboundedMultifunction:
+        for t in tags:
+            F.value_at(t)
+    else:
+        like = F.zero_value()
+        for lo, hi in zip(F.lower.columns(like, keys, tags),
+                          F.upper.columns(like, keys, tags)):
+            if not all(map(operator.le, lo, hi)):
+                raise ValueError(_ORDER_MESSAGE)
+    return OrderInterval(riemann_sum(F.lower, part, spec),
+                         riemann_sum(F.upper, part, spec))
 
 
 def endpoint_integrals(F: Multifunction, E: BorelSet,

@@ -1,7 +1,8 @@
-"""The coordinate kernel behind ``riemann_sum`` and ``riemann_set_sum``
-against the per-cell lattice loops it replaced, kept here as the reference:
-every sum must agree bit for bit, and every tag whose value interval is out
-of order must still raise."""
+"""The coordinate kernel behind ``riemann_sum`` against the per-cell lattice
+loops it replaced, kept here as the reference: every sum must agree bit for
+bit.  A set-sum is the order check followed by the two ends' point sums; it
+must agree with the per-cell loop too, and every tag whose value interval is
+out of order must still raise."""
 
 import bisect
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from conftest import examples
 
-from rieszgauge import integrands
+from rieszgauge import integrands, integrate, setvalued
 from rieszgauge.aumann import aumann_integral, default_mixes
 from rieszgauge.domain import (BorelSet, Gauge, Interval, MeasureSpec,
                                TaggedPartition, iter_fine_partitions)
@@ -241,8 +242,11 @@ def test_riemann_set_sum_matches_cell_by_cell_reference(data, name):
         Fs.append(singleton_multifunction(CounterexampleC00()))
     for part in d.partitions():
         for F in Fs:
-            assert_same(riemann_set_sum(F, part, d.spec),
-                        reference_riemann_set_sum(F, part, d.spec))
+            got = riemann_set_sum(F, part, d.spec)
+            assert_same(got, reference_riemann_set_sum(F, part, d.spec))
+            assert repr(got) == repr(OrderInterval(
+                riemann_sum(F.lower, part, d.spec),
+                riemann_sum(F.upper, part, d.spec)))
 
 
 def every_family(name):
@@ -404,7 +408,7 @@ GRID_MIX = tuple((BorelSet.from_pairs([[i / 16, (i + 1) / 16]]), float(i % 2))
 
 
 def like_and_keys(f, spec):
-    """The lattice and keys that :func:`weighted_sums` compiles ``f`` for,
+    """The lattice and keys that :func:`riemann_sum` compiles ``f`` for,
     with every index a c00 value here reaches under a scalar generator."""
     zero = f.zero_value()
     if isinstance(spec.m0, Scalar) and isinstance(zero, Scalar):
@@ -523,3 +527,14 @@ def test_every_bounded_family_compiles():
     assert SelectionIntegrand in families
     assert [cls for cls in families if "compile" not in vars(cls)] == [
         CounterexampleC00]
+
+
+def test_a_set_sum_has_no_sum_path_of_its_own():
+    """A set-sum is the two ends' point sums: no multifunction or interval
+    gives its floats itself, and no kernel sums both ends at once."""
+    classes = [cls for cls in vars(setvalued).values()
+               if isinstance(cls, type) and cls.__module__ == setvalued.__name__]
+    assert OrderInterval in classes
+    assert [cls for cls in classes
+            if {"columns", "coordinates"} & set(vars(cls))] == []
+    assert not hasattr(integrate, "weighted_sums")
