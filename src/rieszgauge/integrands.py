@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect as _bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from typing import Callable
 
@@ -27,38 +28,28 @@ _GRID = tuple(i / 64.0 for i in range(65))
 
 @dataclass(frozen=True)
 class ScalarForm:
-    """A named real formula on [0, 1] carrying its Lipschitz constant."""
+    """A named real formula on [0, 1] carrying its Lipschitz constant, and
+    an antiderivative that is exact on :class:`fractions.Fraction` (None when
+    the form has no closed-form integral)."""
 
     name: str
     fn: Callable[[float], float]
     lipschitz: float
+    antiderivative: Callable[[Fraction], Fraction] | None = None
 
     def range_bound(self) -> float:
         coarse = max(abs(self.fn(t)) for t in _GRID)
         return coarse + self.lipschitz / (2 * (len(_GRID) - 1))
 
 
-def _midpoint_refined(fn, a: float, b: float) -> float:
-    """Composite midpoint estimates at three resolutions, extrapolated twice;
-    exact for polynomials up to degree five."""
-    if b - a <= 0.0:
-        return 0.0
-    sums = []
-    for n in (64, 128, 256):
-        h = (b - a) / n
-        sums.append(sum(fn(a + (i + 0.5) * h) for i in range(n)) * h)
-    r1 = (4.0 * sums[1] - sums[0]) / 3.0
-    r2 = (4.0 * sums[2] - sums[1]) / 3.0
-    return (16.0 * r2 - r1) / 15.0
-
-
 SCALAR_FORMS: dict[str, ScalarForm] = {
     form.name: form for form in (
-        ScalarForm("t", lambda t: t, 1.0),
-        ScalarForm("one_minus_t", lambda t: 1.0 - t, 1.0),
-        ScalarForm("half_t", lambda t: 0.5 * t, 0.5),
-        ScalarForm("neg_t", lambda t: -t, 1.0),
-        ScalarForm("square", lambda t: t * t, 2.0),
+        ScalarForm("t", lambda t: t, 1.0, lambda x: x * x / 2),
+        ScalarForm("one_minus_t", lambda t: 1.0 - t, 1.0,
+                   lambda x: x - x * x / 2),
+        ScalarForm("half_t", lambda t: 0.5 * t, 0.5, lambda x: x * x / 4),
+        ScalarForm("neg_t", lambda t: -t, 1.0, lambda x: -x * x / 2),
+        ScalarForm("square", lambda t: t * t, 2.0, lambda x: x * x * x / 3),
     )
 }
 
@@ -345,8 +336,14 @@ class PointwiseScalar(Integrand):
         return zero_like(self.direction)
 
     def integral(self, E, spec):
-        s = self.coeff * sum(_midpoint_refined(self.form.fn, c.lo, c.hi)
-                             for c in E.components)
+        """``coeff`` times the form's exact integral over the float
+        endpoints of ``E``'s components, rounded once to a float."""
+        F = self.form.antiderivative
+        if F is None:
+            raise NotCertifiable(
+                f"scalar form {self.form.name} has no antiderivative")
+        s = float(Fraction(self.coeff) * sum(
+            F(Fraction(c.hi)) - F(Fraction(c.lo)) for c in E.components))
         return mul(self.direction, spec.m0).scale(s)
 
     def lipschitz(self):

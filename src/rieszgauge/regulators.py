@@ -300,6 +300,20 @@ def regulator_entry(reg: Regulator, i: int, j: int) -> RieszValue:
 # envelopes
 # ---------------------------------------------------------------------------
 
+def _memoized(reg: Regulator, memo_name: str, key, compute):
+    """``compute()``, kept on the regulator in the dict ``memo_name`` under
+    ``key``: regulators are frozen and lattice values immutable, so each key
+    is computed once.  A key that cannot be hashed is computed every time."""
+    memo = vars(reg).setdefault(memo_name, {})
+    try:
+        value = memo.get(key)
+    except TypeError:
+        return compute()
+    if value is None:
+        value = memo[key] = compute()
+    return value
+
+
 def envelope(reg: Regulator, phi: IndexMap) -> RieszValue:
     """The envelope ``sup_i a[i][phi(i)]``, computed by the regulator's family.
 
@@ -307,26 +321,19 @@ def envelope(reg: Regulator, phi: IndexMap) -> RieszValue:
     (nondecreasing) index maps; for sums and capped combinations the result is
     a computable upper bound that is tight for geometric leaves.
 
-    Memoized per probe on the regulator itself: regulators are frozen and
-    lattice values immutable, so each pair is computed once.  A probe that
-    cannot be hashed is computed every time.
+    Memoized per probe on the regulator itself (see :func:`_memoized`).
     """
-    memo = vars(reg).setdefault("_envelopes", {})
-    try:
-        env = memo.get(phi)
-    except TypeError:
-        return reg.envelope(phi)
-    if env is None:
-        env = memo[phi] = reg.envelope(phi)
-    return env
+    return _memoized(reg, "_envelopes", phi, lambda: reg.envelope(phi))
 
 
 def min_envelope(reg: Regulator, probes) -> RieszValue:
-    """Componentwise meet of the envelopes over a probe set."""
+    """Componentwise meet of the envelopes over a probe set, in probe order;
+    memoized per probe tuple on the regulator (see :func:`_memoized`)."""
     probes = tuple(probes)
     if not probes:
         raise EmptyProbeSet("no probes given")
-    return reduce(lambda a, b: a.meet(b), (envelope(reg, p) for p in probes))
+    return _memoized(reg, "_min_envelopes", probes, lambda: reduce(
+        lambda a, b: a.meet(b), (envelope(reg, p) for p in probes)))
 
 
 def max_envelope(reg: Regulator, probes) -> RieszValue:

@@ -16,16 +16,15 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from functools import reduce
 
 from .domain import BorelSet, MeasureSpec, TaggedPartition
-from .errors import (EmptyFamily, EmptyProbeSet, MembershipUndecided,
+from .errors import (EmptyFamily, MembershipUndecided,
                      NegativeScaleUnsupported, PiecesOverlap,
                      UnboundedMultifunction, ZeroNotInValues)
 from .integrands import (_GRID, ConstantIntegrand, Integrand, SimpleIntegrand,
                          disjoint_lookup)
 from .integrate import as_borel, kh_integrate, riemann_sum
-from .regulators import Regulator, Scaled, SumPair, envelope, max_envelope
+from .regulators import Regulator, Scaled, SumPair, max_envelope, min_envelope
 from .values import ORDER_SLACK, RieszValue, leq, mul, ones_like, zero_like
 
 _ORDER_MESSAGE = "an order interval needs lo <= hi"
@@ -254,10 +253,7 @@ def phi_membership(z: RieszValue, F: Multifunction, E, spec: MeasureSpec,
     """
     E = as_borel(E)
     F.bound()  # raises UnboundedMultifunction when there is no common bound
-    probes = tuple(probes)
-    if not probes:
-        raise EmptyProbeSet("no probes given")
-    r = reduce(lambda a, b: a.meet(b), (envelope(reg, phi) for phi in probes))
+    r = min_envelope(reg, probes)
     ends = endpoint_integrals(F, E, spec)
     band = abs(ends.lo).join(abs(ends.hi)).join(abs(z)).join(r).scale(
         ORDER_SLACK)

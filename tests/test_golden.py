@@ -35,6 +35,8 @@ TWO = {"default": _two_pieces(0, 1, 2, 3),
 
 CASES = {
     "default-integrate-t": ("default", ["integrate", "--f", "t", "--on", "[0,1]"]),
+    "default-integrate-square-non-dyadic": (
+        "default", ["integrate", "--f", "square", "--on", "[0.1,0.7]"]),
     "default-integrate-simple": (
         "default", ["integrate", "--f", "simple:0,0.5,2;0.5,1,1"]),
     "default-integrate-simple-union-json": (

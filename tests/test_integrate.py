@@ -1,7 +1,11 @@
+import dataclasses
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from conftest import examples
 
 from rieszgauge.domain import (BorelSet, Gauge, Interval, MeasureSpec,
                                TaggedPartition, is_fine)
@@ -85,6 +89,72 @@ def test_kh_square_against_antiderivative_oracle():
     square = PointwiseScalar(SCALAR_FORMS["square"], Scalar(1.0))
     cert = kh_integrate(square, WHOLE, SPEC, REG, PROBES)
     assert abs(cert.value - Scalar(1.0 / 3.0)).is_zero(1e-9)
+
+
+#: Each built-in form as polynomial coefficients, constant term first.
+FORM_POLYNOMIALS = {"t": (0, 1), "one_minus_t": (1, -1),
+                    "half_t": (0, Fraction(1, 2)), "neg_t": (0, -1),
+                    "square": (0, 0, 1)}
+
+
+def exact_integral(name, coeff, pairs):
+    """``coeff`` times the form's integral over the float ``pairs``, exact
+    in Fractions and rounded once: the correctly rounded value."""
+    total = Fraction(0)
+    for a, b in pairs:
+        a, b = Fraction(a), Fraction(b)
+        for k, c in enumerate(FORM_POLYNOMIALS[name]):
+            total += Fraction(c) * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+    return float(Fraction(coeff) * total)
+
+
+def float_unions():
+    """Unions of 1 to 3 disjoint intervals with float endpoints in [0, 1]."""
+    ends = st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=False)
+    return st.integers(1, 3).flatmap(lambda k: st.lists(
+        ends, min_size=2 * k, max_size=2 * k, unique=True)).map(
+        lambda xs: sorted(xs)).map(lambda xs: list(zip(xs[::2], xs[1::2])))
+
+
+def test_built_in_forms_have_reference_polynomials():
+    assert sorted(FORM_POLYNOMIALS) == sorted(SCALAR_FORMS)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(st.sampled_from(sorted(FORM_POLYNOMIALS)),
+       st.sampled_from((1.0, -0.3, 2.5, 1e-3)), float_unions())
+@example("square", 1.0, [(0.1, 0.7)])
+@example("t", 1.0, [(0.3333, 0.9)])
+def test_scalar_form_integral_is_correctly_rounded(name, coeff, pairs):
+    f = PointwiseScalar(SCALAR_FORMS[name], Scalar(1.0), coeff)
+    got = f.integral(BorelSet.from_pairs(pairs), SPEC)
+    assert got == Scalar(exact_integral(name, coeff, pairs))
+
+
+@pytest.mark.parametrize("name, pairs, want", [
+    ("square", [(0.1, 0.7)], 0.11399999999999998),
+    ("t", [(0.3333, 0.9)], 0.34945555500000003)])
+def test_scalar_form_integral_on_non_dyadic_endpoints(name, pairs, want):
+    f = PointwiseScalar(SCALAR_FORMS[name], Scalar(1.0))
+    assert f.integral(BorelSet.from_pairs(pairs), SPEC) == Scalar(want)
+
+
+def test_scalar_form_integral_evaluates_no_form():
+    calls = []
+    square = SCALAR_FORMS["square"]
+    counted = dataclasses.replace(
+        square, fn=lambda t: calls.append(t) or square.fn(t))
+    f = PointwiseScalar(counted, Scalar(1.0))
+    E = BorelSet.from_pairs([[0.0, 0.25], [0.5, 0.625], [0.75, 1.0]])
+    assert f.integral(E, SPEC) == Scalar(exact_integral(
+        "square", 1.0, E.to_pairs()))
+    assert calls == []
+
+
+def test_scalar_form_without_antiderivative_is_not_certifiable():
+    bare = dataclasses.replace(SCALAR_FORMS["t"], antiderivative=None)
+    with pytest.raises(NotCertifiable, match="no antiderivative"):
+        PointwiseScalar(bare, Scalar(1.0)).integral(WHOLE, SPEC)
 
 
 def test_kh_simple_exact():

@@ -12,7 +12,8 @@ from rieszgauge.regulators import (AffineMap, ConstantMap, ExponentialMap,
                                    envelope, fremlin_combine, min_envelope,
                                    _pow, regulator_entry, standard_probes,
                                    zero_regulator)
-from rieszgauge.values import Scalar, SparseSeq, Vector, leq, zero_like
+from rieszgauge.values import (RieszValue, Scalar, SparseSeq, Vector, leq,
+                               zero_like)
 
 GEO = Geometric(Scalar(1.0), 0.5, 0.5)
 
@@ -208,11 +209,14 @@ def test_probe_maps_evaluate_positively():
 
 @dataclass
 class _UnhashableConstant(IndexMap):
-    # a non-frozen dataclass: equality without a hash
+    # a non-frozen dataclass: equality without a hash (__hash__ is None)
     c: int
 
     def eval(self, i):
         return self.c
+
+    def describe(self):
+        return f"unhashable:{self.c}"
 
 
 def test_envelope_is_memoized_on_the_regulator():
@@ -225,3 +229,37 @@ def test_envelope_is_memoized_on_the_regulator():
     assert reg == twin and hash(reg) == hash(twin) and repr(reg) == repr(twin)
     assert envelope(twin, ConstantMap(3)) == first
     assert envelope(reg, _UnhashableConstant(3)) == first
+
+
+def test_an_unhashable_probe_is_computed_every_time(monkeypatch):
+    assert _UnhashableConstant.__hash__ is None
+    reg = Geometric(Vector([1.0, 2.0]), 0.5, 0.5)
+    want = envelope(Geometric(Vector([1.0, 2.0]), 0.5, 0.5), ConstantMap(3))
+    computed = []
+    own = Geometric.envelope
+    monkeypatch.setattr(Geometric, "envelope",
+                        lambda r, phi: computed.append(phi.eval(1))
+                        or own(r, phi))
+    probes = (ConstantMap(2), _UnhashableConstant(3), ConstantMap(1))
+    assert envelope(reg, _UnhashableConstant(3)) == want
+    assert min_envelope(reg, probes) == want
+    assert min_envelope(reg, probes) == want
+    assert computed == [3, 2, 3, 1, 3]
+
+
+def test_min_envelope_is_memoized_per_probe_tuple(monkeypatch):
+    reg = Geometric(Vector([1.0, 2.0]), 0.5, 0.5)
+    first = min_envelope(reg, standard_probes())
+    assert first == min_envelope(Geometric(Vector([1.0, 2.0]), 0.5, 0.5),
+                                 list(standard_probes()))
+    meets = []
+    meet = RieszValue.meet
+    monkeypatch.setattr(RieszValue, "meet",
+                        lambda a, b: meets.append(b) or meet(a, b))
+    assert min_envelope(reg, standard_probes()) is first
+    assert min_envelope(reg, list(standard_probes())) is first
+    assert meets == []
+    # another tuple is folded afresh
+    want = envelope(reg, ConstantMap(3))
+    assert min_envelope(reg, standard_probes()[:3]) == want
+    assert len(meets) == 2

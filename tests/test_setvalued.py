@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from rieszgauge.config import load_config
 from rieszgauge.domain import BorelSet, Gauge, MeasureSpec, partition_borel
-from rieszgauge.errors import (EmptyFamily, NegativeScaleUnsupported,
+from rieszgauge.errors import (EmptyFamily, EmptyProbeSet,
+                               NegativeScaleUnsupported,
                                PiecesOverlap, UnboundedMultifunction,
                                ZeroNotInValues)
 from rieszgauge.integrands import (CounterexampleC00, PieceLookup,
@@ -275,3 +276,12 @@ def test_derived_methods_match_family_formulas(space):
             assert repr(getattr(F, name)()) == repr(ref[name]), name
         for t in (*ref["boundary_points"], *grid):
             assert repr(F.value_at(t)) == repr(ref["value_at"](t)), t
+
+
+def test_membership_without_probes():
+    with pytest.raises(EmptyProbeSet, match="^no probes given$"):
+        phi_membership(Scalar(0.5), TWO_PIECE, WHOLE, SPEC, REG, ())
+    # the family's bound is checked first
+    spikes = IntervalValued(CounterexampleC00(), CounterexampleC00())
+    with pytest.raises(UnboundedMultifunction):
+        phi_membership(Scalar(0.0), spikes, WHOLE, SPEC, REG, ())
